@@ -9,8 +9,7 @@ probability of multiple global minimizers by Monte Carlo.
 __version__ = "0.1.0"
 
 from .domain import (Box, Domain, FDConfig, Objective, box, interval_domain,
-                     directional_derivative_t, eval_objective, grad_z,
-                     objective_for_domain)
+                     directional_derivative_t, eval_objective, grad_z)
 from .errors import (ConfigError, DegenerateObjective, DiagnosticsError,
                      ExplicitBound, InvalidDirection, KernelNotPSD,
                      NotDistinct, SingularDesign)

@@ -46,6 +46,14 @@ def _parse_floats(text: str) -> tuple:
         raise ConfigError(f"cannot parse float list {text!r}") from exc
 
 
+def _validated(build, **kwargs):
+    """Build a config object; its validation errors are configuration errors."""
+    try:
+        return build(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _report_envelope(command: str, config: dict, payload: dict) -> dict:
     return {
         "command": command,
@@ -113,6 +121,8 @@ def cmd_mixture(args) -> int:
         "means": list(_parse_floats(args.means)) if args.means else None,
         "force": args.force,
     }
+    if args.components < 1:
+        raise ConfigError("--components must be at least 1")
     if args.data:
         sample = read_sample_csv(args.data)
     else:
@@ -144,8 +154,8 @@ def cmd_penalized(args) -> int:
         "q": args.q, "a": args.a, "gamma": args.gamma,
         "data": args.data, "n": args.n, "d": args.d,
     }
-    spec = PenaltySpec(kind=args.penalty, lam=args.lam, q=args.q,
-                       a=args.a, gamma=args.gamma)
+    spec = _validated(PenaltySpec, kind=args.penalty, lam=args.lam, q=args.q,
+                      a=args.a, gamma=args.gamma)
     if args.data:
         raw = np.loadtxt(args.data, delimiter=",", skiprows=1)
         data = RegressionData(y=tuple(raw[:, 0]),
@@ -180,8 +190,8 @@ def cmd_threshold(args) -> int:
         "m_bound": args.m_bound, "gamma": args.gamma,
         "eps_schedule": list(_parse_floats(args.eps_schedule)),
     }
-    spec = GPSpec(m_bound=args.m_bound, grid_size=args.grid_size,
-                  gamma=args.gamma)
+    spec = _validated(GPSpec, m_bound=args.m_bound, grid_size=args.grid_size,
+                      gamma=args.gamma)
     trial = argmin_uniqueness_trial(spec, args.paths,
                                     eps_schedule=_parse_floats(args.eps_schedule),
                                     seed=args.seed)

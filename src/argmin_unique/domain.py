@@ -355,12 +355,6 @@ class Objective:
     admissible_directions: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
-def objective_for_domain(fn, domain: Domain, grad_t=None, grad_z=None) -> Objective:
-    """Wire an evaluation function to a domain's admissible directions."""
-    return Objective(eval=fn, grad_t=grad_t, grad_z=grad_z,
-                     admissible_directions=domain.admissible_directions)
-
-
 def eval_objective(obj: Objective, t, z) -> float:
     """Evaluate Q(t, z); non-finite results raise DegenerateObjective."""
     value = float(obj.eval(as_vector(t), as_vector(z)))

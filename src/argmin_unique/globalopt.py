@@ -136,10 +136,31 @@ def cluster_minimizers(points: Sequence, eps_value: float,
     return clusters
 
 
-def _verdict(clusters: list, converged_fraction: float) -> str:
+def build_report(points: Sequence, converged_fraction: float, diameter: float,
+                 cfg: MultistartConfig) -> ArgminReport:
+    """Cluster candidate (t, value) points into an ArgminReport.
+
+    Tolerances come from cfg, else 1e-6 * (1 + |best|) for values and
+    1e-3 * diameter for distances.  The verdict is "inconclusive" when
+    fewer than half of the local searches converged (or there are no
+    points), otherwise "unique" for a single cluster and "multiple" beyond.
+    """
+    if not points:
+        return ArgminReport(global_value=float("nan"), clusters=(),
+                            eps_value=float("nan"), delta_cluster=float("nan"),
+                            verdict="inconclusive", converged_fraction=0.0)
+    best = min(v for _, v in points)
+    eps = cfg.eps_value if cfg.eps_value is not None else 1e-6 * (1 + abs(best))
+    delta = (cfg.delta_cluster if cfg.delta_cluster is not None
+             else 1e-3 * diameter)
+    clusters = cluster_minimizers(points, eps, delta)
     if converged_fraction < 0.5:
-        return "inconclusive"
-    return "unique" if len(clusters) == 1 else "multiple"
+        verdict = "inconclusive"
+    else:
+        verdict = "unique" if len(clusters) == 1 else "multiple"
+    return ArgminReport(global_value=best, clusters=tuple(clusters),
+                        eps_value=eps, delta_cluster=delta, verdict=verdict,
+                        converged_fraction=converged_fraction)
 
 
 def seed_key(*parts) -> tuple:
@@ -217,10 +238,39 @@ def _descend(obj: Objective, piece: Box, z: np.ndarray, t_start: np.ndarray,
                 ok = ok or bool(pol.success)
         except (ValueError, FloatingPointError):
             pass
-    t_best = u_best if plain_box else piece.from_intrinsic(u_best)
+    if not plain_box:
+        # report Q at the point itself, without the infeasibility charge
+        t_best = piece.from_intrinsic(u_best)
+        v_best = float(obj.eval(t_best, z))
+    else:
+        t_best = u_best
     if piece.violation(t_best) > 1e-7 or not np.isfinite(v_best):
         return t_best, v_best, False
     return t_best, v_best, ok
+
+
+def lbfgsb_descend(fun_and_grad: Callable, x0: np.ndarray, bounds: Sequence,
+                   cfg: MultistartConfig) -> tuple:
+    """Bounded quasi-Newton descent with an analytic gradient.
+
+    ``fun_and_grad`` maps x to (value, gradient).  Returns (x, value, ok)
+    with the value re-evaluated at the returned x.  ``ok`` is a projected
+    gradient test, ||x - clip(x - g)||_inf <= 1e-5 (1 + |value|), rather
+    than scipy's success flag: at tight tolerances the line search often
+    gives up ("ABNORMAL_TERMINATION_IN_LNSRCH") at a point that is already
+    the minimum.
+    """
+    res = minimize(fun_and_grad, x0, jac=True, method="L-BFGS-B",
+                   bounds=bounds,
+                   options={"maxiter": cfg.max_iters, "ftol": 1e-15,
+                            "gtol": cfg.local_tol})
+    x = res.x
+    value, grad = fun_and_grad(x)
+    lo, hi = np.asarray(bounds, dtype=float).T
+    step = x - np.clip(x - grad, lo, hi)
+    ok = bool(np.isfinite(value)
+              and np.max(np.abs(step)) <= 1e-5 * (1 + abs(value)))
+    return x, float(value), ok
 
 
 def multistart_minimize(obj: Objective, domain: Domain, z,
@@ -244,23 +294,21 @@ def multistart_minimize(obj: Objective, domain: Domain, z,
                 lambda task: _descend(obj, task[0], z, task[1], cfg), tasks))
     else:
         results = [_descend(obj, piece, z, t0, cfg) for piece, t0 in tasks]
+    return report_descents(results, domain.diameter(), cfg)
+
+
+def report_descents(results: Sequence, diameter: float,
+                    cfg: MultistartConfig) -> ArgminReport:
+    """Report from (t, value, ok) descent results.
+
+    Converged descents are clustered when there are any, otherwise every
+    finite one; the converged fraction counts all descents.
+    """
     finite = [(t, v, ok) for t, v, ok in results if np.isfinite(v)]
     converged = [(t, v) for t, v, ok in finite if ok]
-    frac = len(converged) / max(1, len(tasks))
+    frac = len(converged) / max(1, len(results))
     pool_pts = converged if converged else [(t, v) for t, v, _ in finite]
-    if not pool_pts:
-        return ArgminReport(global_value=float("nan"), clusters=(),
-                            eps_value=float("nan"), delta_cluster=float("nan"),
-                            verdict="inconclusive", converged_fraction=0.0)
-    best = min(v for _, v in pool_pts)
-    eps = cfg.eps_value if cfg.eps_value is not None else 1e-6 * (1 + abs(best))
-    delta = (cfg.delta_cluster if cfg.delta_cluster is not None
-             else 1e-3 * domain.diameter())
-    clusters = cluster_minimizers(pool_pts, eps, delta)
-    return ArgminReport(global_value=best, clusters=tuple(clusters),
-                        eps_value=eps, delta_cluster=delta,
-                        verdict=_verdict(clusters, frac),
-                        converged_fraction=frac)
+    return build_report(pool_pts, frac, diameter, cfg)
 
 
 def value_function(obj: Objective, K: Box, z, grid: int = 1024,

@@ -19,8 +19,9 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .domain import Box, Domain, Objective, as_vector
+# cluster_minimizers stays a module attribute: bench/layers.py wraps it here
 from .globalopt import (ArgminReport, DEFAULT_CONFIG, MultistartConfig,
-                        cluster_minimizers, seed_key)
+                        build_report, cluster_minimizers, seed_key)
 
 logger = logging.getLogger(__name__)
 
@@ -289,20 +290,7 @@ def fit_mle(sample: MixtureSample, J: int,
     frac = float(finite.mean())
     points = [(np.concatenate([tau[s], mu[s]]), float(nll[s]))
               for s in range(len(nll)) if finite[s]]
-    if not points:
-        return ArgminReport(global_value=float("nan"), clusters=(),
-                            eps_value=float("nan"), delta_cluster=float("nan"),
-                            verdict="inconclusive", converged_fraction=0.0)
-    best = min(v for _, v in points)
-    eps = cfg.eps_value if cfg.eps_value is not None else 1e-6 * (1 + abs(best))
-    delta = (cfg.delta_cluster if cfg.delta_cluster is not None
-             else 1e-3 * mixture_domain(J).diameter())
-    clusters = cluster_minimizers(points, eps, delta)
-    verdict = "inconclusive" if frac < 0.5 else (
-        "unique" if len(clusters) == 1 else "multiple")
-    return ArgminReport(global_value=best, clusters=tuple(clusters),
-                        eps_value=eps, delta_cluster=delta,
-                        verdict=verdict, converged_fraction=frac)
+    return build_report(points, frac, mixture_domain(J).diameter(), cfg)
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,15 @@ discontinuous or kinked penalties, a single box for scad/mcp.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 import numpy as np
 
-from .domain import Box, Domain, Objective
+from .domain import DEFAULT_MARGIN, Box, Domain, Objective, as_vector
 from .errors import ExplicitBound
+# cluster_minimizers stays a module attribute: bench/layers.py wraps it here
 from .globalopt import (ArgminReport, DEFAULT_CONFIG, MultistartConfig,
-                        cluster_minimizers, multistart_minimize)
+                        _sobol_starts, build_report, cluster_minimizers,
+                        lbfgsb_descend, multistart_minimize, report_descents)
 
 PENALTY_KINDS = ("l0", "bridge", "scad", "mcp")
 ENUMERATION_CAP = 20
@@ -50,43 +52,49 @@ class PenaltySpec:
         return self.kind in ("scad", "mcp")
 
 
-def penalty_rho(spec: PenaltySpec, t: float) -> float:
-    """Per-coordinate penalty at |beta_k| = t >= 0."""
-    t = abs(float(t))
+def penalty_terms(spec: PenaltySpec, t: np.ndarray) -> tuple:
+    """(rho(t), rho'(t)) elementwise at t = |beta_k| >= 0.
+
+    The slope is the right derivative: lam at 0 for scad and mcp, 0 for l0
+    (constant off zero) and +inf for bridge at 0.
+    """
     lam = spec.lam
     if spec.kind == "l0":
-        return lam if t > 0 else 0.0
+        return np.where(t > 0, lam, 0.0), np.zeros_like(t)
     if spec.kind == "bridge":
-        return lam * t ** spec.q
+        with np.errstate(divide="ignore"):
+            return lam * t ** spec.q, lam * spec.q * t ** (spec.q - 1.0)
     if spec.kind == "scad":
         a = spec.a
-        if t <= lam:
-            return lam * t
-        if t <= a * lam:
-            return (2 * a * lam * t - t * t - lam * lam) / (2 * (a - 1))
-        return (a + 1) * lam * lam / 2
-    # mcp
+        inner = t <= lam
+        mid = t <= a * lam
+        rho = np.where(inner, lam * t,
+                       np.where(mid, (2 * a * lam * t - t * t - lam * lam)
+                                / (2 * (a - 1)), (a + 1) * lam * lam / 2))
+        slope = np.where(inner, lam, np.maximum(a * lam - t, 0.0) / (a - 1))
+        return rho, slope
     g = spec.gamma
-    if t <= g * lam:
-        return lam * t - t * t / (2 * g)
-    return g * lam * lam / 2
+    inner = t <= g * lam
+    rho = np.where(inner, lam * t - t * t / (2 * g), g * lam * lam / 2)
+    return rho, np.maximum(lam - t / g, 0.0)
+
+
+def penalty_rho(spec: PenaltySpec, t: float) -> float:
+    """Per-coordinate penalty at |beta_k| = t >= 0."""
+    return float(penalty_terms(spec, np.abs(as_vector(t)))[0][0])
 
 
 def scad_derivative(spec: PenaltySpec, t: float) -> float:
     """scad slope: lam for t <= lam, then the linear clip down to zero."""
-    t = abs(float(t))
-    lam, a = spec.lam, spec.a
-    if t <= lam:
-        return lam
-    return max(a * lam - t, 0.0) / (a - 1)
+    return float(penalty_terms(spec, np.abs(as_vector(t)))[1][0])
 
 
 def penalty_value(spec: PenaltySpec, beta) -> float:
     """Separable penalty sum_k rho(|beta_k|); zero at beta = 0."""
-    b = np.atleast_1d(np.asarray(beta, dtype=float))
+    b = as_vector(beta)
     if spec.kind == "l0":
         return spec.lam * float(np.count_nonzero(b))
-    return float(sum(penalty_rho(spec, t) for t in np.abs(b)))
+    return float(np.sum(penalty_terms(spec, np.abs(b))[0]))
 
 
 @dataclass(frozen=True)
@@ -158,12 +166,19 @@ def partition_domain(spec: PenaltySpec, d: int,
     """
     if d < 1:
         raise ValueError("d must be positive")
+    if not spec.separable_smooth and d > ENUMERATION_CAP:
+        raise ExplicitBound(f"2^{d} pieces exceed the d <= {ENUMERATION_CAP} cap")
+    return _partition(spec.separable_smooth, d, float(radius))
+
+
+@lru_cache(maxsize=16)
+def _partition(one_box: bool, d: int, radius: float) -> Domain:
+    """Build a partition once per shape; its immutable pieces also keep
+    their cached constraint bases across calls."""
     lower = tuple([-radius] * d)
     upper = tuple([radius] * d)
-    if spec.separable_smooth:
+    if one_box:
         return Domain(pieces=(Box(lower=lower, upper=upper),))
-    if d > ENUMERATION_CAP:
-        raise ExplicitBound(f"2^{d} pieces exceed the d <= {ENUMERATION_CAP} cap")
     pieces = []
     for mask in range(2 ** d):
         support = tuple(k for k in range(d) if mask >> k & 1)
@@ -199,23 +214,74 @@ def enumerate_best_subsets(spec: PenaltySpec, data: RegressionData) -> list:
     return out
 
 
+def support_objective(spec: PenaltySpec, X_S: np.ndarray, y: np.ndarray,
+                      sign: np.ndarray):
+    """Value and gradient of 0.5||y - X_S b||^2 + sum_k rho(|b_k|).
+
+    Valid inside the sign orthant ``sign * b > 0``, where |b| = sign * b and
+    the objective is smooth.
+    """
+
+    def fun_and_grad(b):
+        r = y - X_S @ b
+        rho, slope = penalty_terms(spec, sign * b)
+        return 0.5 * float(r @ r) + float(np.sum(rho)), sign * slope - X_S.T @ r
+
+    return fun_and_grad
+
+
+def _orthant_descent(spec: PenaltySpec, X_S: np.ndarray, y: np.ndarray,
+                     b0: np.ndarray, cfg: MultistartConfig) -> tuple:
+    """L-BFGS-B inside the sign orthant of b0, kept DEFAULT_MARGIN off zero."""
+    sign = np.where(b0 < 0, -1.0, 1.0)
+    lo = np.where(sign > 0, DEFAULT_MARGIN, -DEFAULT_RADIUS)
+    hi = np.where(sign > 0, DEFAULT_RADIUS, -DEFAULT_MARGIN)
+    return lbfgsb_descend(support_objective(spec, X_S, y, sign),
+                          np.clip(b0, lo, hi), list(zip(lo, hi)), cfg)
+
+
+def _support_route(spec: PenaltySpec, data: RegressionData,
+                   cfg: MultistartConfig) -> ArgminReport:
+    """Per-support L-BFGS-B for bridge, scad and mcp.
+
+    Each nonempty support S starts from its least-squares fit, moved into
+    that fit's sign orthant, and from the partition's Sobol starts on S
+    (for scad/mcp the partition is the one box, so those starts use the
+    full support).  b = 0 is a candidate too.  Reported values are the
+    objective at the reported point.
+    """
+    d = data.d
+    if d > ENUMERATION_CAP:
+        raise ExplicitBound(f"2^{d} supports exceed the d <= {ENUMERATION_CAP} cap")
+    X, y = data.x_arr, data.y_arr
+    domain = partition_domain(spec, d)
+    per_piece = max(1, cfg.n_starts // len(domain.pieces))
+    starts = {mask: [] for mask in range(1, 2 ** d)}
+    for p_idx, piece in enumerate(domain.pieces):
+        support = range(d) if spec.separable_smooth else piece.nonzero
+        mask = sum(1 << k for k in support)
+        if mask:
+            starts[mask].extend(_sobol_starts(piece, per_piece, (cfg.seed, p_idx)))
+    results = [(np.zeros(d), 0.5 * float(y @ y), True)]
+    for mask, extra in starts.items():
+        cols = [k for k in range(d) if mask >> k & 1]
+        X_S = X[:, cols]
+        ls = np.linalg.lstsq(X_S, y, rcond=None)[0]
+        for b0 in [ls] + [t0[cols] for t0 in extra]:
+            b_S, value, ok = _orthant_descent(spec, X_S, y, b0, cfg)
+            beta = np.zeros(d)
+            beta[cols] = b_S
+            results.append((beta, value, ok))
+    return report_descents(results, domain.diameter(), cfg)
+
+
 def global_minimize(spec: PenaltySpec, data: RegressionData,
                     cfg: MultistartConfig = DEFAULT_CONFIG) -> ArgminReport:
-    """Global minimum report: exact enumeration for l0, multistart otherwise."""
+    """Global minimum report: exact enumeration for l0, per support otherwise."""
     if spec.kind == "l0":
-        points = enumerate_best_subsets(spec, data)
-        best = min(v for _, v in points)
-        eps = cfg.eps_value if cfg.eps_value is not None else 1e-6 * (1 + abs(best))
-        delta = (cfg.delta_cluster if cfg.delta_cluster is not None
-                 else 1e-3 * partition_domain(spec, data.d).diameter())
-        clusters = cluster_minimizers(points, eps, delta)
-        return ArgminReport(global_value=best, clusters=tuple(clusters),
-                            eps_value=eps, delta_cluster=delta,
-                            verdict="unique" if len(clusters) == 1 else "multiple",
-                            converged_fraction=1.0)
-    obj = regression_objective(spec, data)
-    return multistart_minimize(obj, partition_domain(spec, data.d),
-                               data.y_arr, cfg)
+        return build_report(enumerate_best_subsets(spec, data), 1.0,
+                            partition_domain(spec, data.d).diameter(), cfg)
+    return _support_route(spec, data, cfg)
 
 
 def multistart_global_minimize(spec: PenaltySpec, data: RegressionData,

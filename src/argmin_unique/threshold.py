@@ -203,16 +203,6 @@ class TrialReport:
                 "single_fractions": list(self.single_fractions)}
 
 
-def path_components(spec: GPSpec, path: GPPath, eps_mult: float) -> tuple:
-    """(run count, is-single) for one path at eps = eps_mult * value range."""
-    Q = objective_profile(spec, path)
-    value_range = float(Q.max() - Q.min())
-    eps = eps_mult * value_range
-    ncomp = sublevel_components(Q, eps)
-    single = ncomp == 1 and value_range > eps
-    return ncomp, single
-
-
 def argmin_uniqueness_trial(spec: GPSpec, n_paths: int,
                             eps_schedule: Sequence[float] = (1e-2, 3e-3, 1e-3, 3e-4),
                             seed: int = 0,

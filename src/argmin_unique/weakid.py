@@ -20,8 +20,9 @@ from scipy.optimize import minimize
 
 from .domain import Domain, Objective, as_vector, box
 from .errors import SingularDesign
+# cluster_minimizers stays a module attribute: bench/layers.py wraps it here
 from .globalopt import (ArgminReport, DEFAULT_CONFIG, MultistartConfig,
-                        cluster_minimizers, multistart_minimize)
+                        build_report, cluster_minimizers)
 
 DEFAULT_PI_BOUND = 6.0
 EIGENVALUE_FLOOR = 1e-12
@@ -272,17 +273,8 @@ def profile_report(model: WeakIdModel, z, grid_size: Optional[int] = None,
             n_polished += 1
             n_ok += bool(res.success)
             candidates.append((np.array([float(res.x[0])]), float(res.fun)))
-    frac = n_ok / max(1, n_polished)
-    best = min(v for _, v in candidates)
-    eps = cfg.eps_value if cfg.eps_value is not None else 1e-6 * (1 + abs(best))
-    delta = (cfg.delta_cluster if cfg.delta_cluster is not None
-             else 1e-3 * model.pi_domain.diameter())
-    clusters = cluster_minimizers(candidates, eps, delta)
-    verdict = "inconclusive" if frac < 0.5 else (
-        "unique" if len(clusters) == 1 else "multiple")
-    return ArgminReport(global_value=best, clusters=tuple(clusters),
-                        eps_value=eps, delta_cluster=delta,
-                        verdict=verdict, converged_fraction=frac)
+    return build_report(candidates, n_ok / max(1, n_polished),
+                        model.pi_domain.diameter(), cfg)
 
 
 @dataclass(frozen=True)

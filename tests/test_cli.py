@@ -155,3 +155,16 @@ def test_config_hash_tracks_tolerances(tmp_path):
     run(["weakid", "--example", "1", "--z", "-1.03,1.29,2.77", "--eps",
          "1e-5", "--out", str(b)])
     assert read_report(a)["config_hash"] != read_report(b)["config_hash"]
+
+
+@pytest.mark.parametrize("args", [
+    ["penalized", "--lam", "-1"],
+    ["penalized", "--penalty", "bridge", "--q", "2"],
+    ["threshold", "--grid-size", "100"],
+    ["mixture", "--components", "0"],
+], ids=["penalized-lam", "penalized-q", "threshold-grid", "mixture-components"])
+def test_invalid_settings_exit_2_without_outputs(tmp_path, args, capsys):
+    out = tmp_path / "bad"
+    assert run(args + ["--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "bad.report.json").exists()

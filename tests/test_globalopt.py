@@ -6,6 +6,7 @@ from argmin_unique import (MultistartConfig, Objective, box, cluster_minimizers,
                            multiplicity_probability, multistart_minimize,
                            sublevel_components, value_function)
 from argmin_unique.baselines import QuadraticModel
+from argmin_unique.globalopt import build_report, lbfgsb_descend
 from argmin_unique.serialize import canonical_json
 
 from oracles import ex1_roots, ex2_roots
@@ -34,6 +35,48 @@ def test_cluster_drops_values_above_band():
     pts = [([0.0], 0.0), ([5.0], 1.0)]
     clusters = cluster_minimizers(pts, eps_value=1e-6, delta_cluster=0.01)
     assert len(clusters) == 1
+
+
+def test_build_report_tolerances_and_verdicts():
+    cfg = MultistartConfig()
+    pts = [([0.0], 2.0), ([1.0], 2.0), ([5.0], 3.0)]
+    rep = build_report(pts, 1.0, 20.0, cfg)
+    assert rep.global_value == 2.0
+    assert rep.eps_value == pytest.approx(3e-6)
+    assert rep.delta_cluster == pytest.approx(0.02)
+    assert rep.verdict == "multiple" and rep.n_clusters == 2
+    assert build_report(pts[:1], 1.0, 20.0, cfg).verdict == "unique"
+    assert build_report(pts, 0.49, 20.0, cfg).verdict == "inconclusive"
+    fixed = build_report(pts, 1.0, 20.0,
+                         MultistartConfig(eps_value=2.0, delta_cluster=10.0))
+    assert fixed.verdict == "unique" and fixed.clusters[0].hits == 3
+
+
+def test_build_report_without_points_is_inconclusive():
+    rep = build_report([], 1.0, 20.0, MultistartConfig())
+    assert rep.verdict == "inconclusive" and rep.clusters == ()
+    assert np.isnan(rep.global_value) and rep.converged_fraction == 0.0
+
+
+def test_lbfgsb_descend_converges_at_a_bound():
+    # (x - 3)^2 on [0, 1]: the minimum sits on the upper bound, where the
+    # gradient is nonzero but the projected gradient vanishes
+    def f(x):
+        return float((x[0] - 3.0) ** 2), np.array([2.0 * (x[0] - 3.0)])
+
+    x, value, ok = lbfgsb_descend(f, np.array([0.2]), [(0.0, 1.0)],
+                                  MultistartConfig())
+    assert ok
+    assert x[0] == pytest.approx(1.0) and value == pytest.approx(4.0)
+
+
+def test_lbfgsb_descend_flags_an_unconverged_run():
+    def f(x):
+        return float(x @ x), 2.0 * x
+
+    x, value, ok = lbfgsb_descend(f, np.array([5.0, -4.0]), [(-9.0, 9.0)] * 2,
+                                  MultistartConfig(max_iters=0))
+    assert not ok and value == pytest.approx(float(x @ x))
 
 
 # ----------------------------------------------------------- value function
