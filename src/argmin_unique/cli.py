@@ -20,8 +20,7 @@ from .baselines import QuadraticModel
 from .domain import box
 from .errors import ConfigError, DiagnosticsError
 from .genericity import scan_grid
-from .globalopt import (MultistartConfig, multiplicity_probability,
-                        multistart_minimize)
+from .globalopt import MultistartConfig, multiplicity_probability
 from .mixture import (MixtureModel, MixtureParams, MixtureSample, fit_mle,
                       mixture_nll, params_from_point, read_sample_csv)
 from .penalized import PenaltySpec, RegressionData, global_minimize
@@ -89,24 +88,22 @@ def cmd_weakid(args) -> int:
     model = _example_model(args.example, args.pi_bound)
     if not args.z and args.draws < 1:
         raise ConfigError("need --z (single draw) or --draws >= 1 (Monte Carlo)")
-    cfg = MultistartConfig(seed=args.seed, eps_value=args.eps,
-                           delta_cluster=args.delta)
+    # one detector for both modes: the model's dense grid of --grid points
+    cfg = _validated(MultistartConfig, seed=args.seed, n_starts=args.grid,
+                     eps_value=args.eps, delta_cluster=args.delta)
     _ensure_parent(args.out)
     if args.z:
         z = np.asarray(_parse_floats(args.z))
         if len(z) != model.d_z:
             raise ConfigError(f"z must have {model.d_z} components")
-        report = multistart_minimize(model.objective(), model.pi_domain, z, cfg)
+        report = model.detect(z, cfg)
         pis = np.linspace(-args.pi_bound, args.pi_bound, args.grid)
         write_csv(f"{args.out}.profile.csv", ["pi", "Q"],
                   zip(pis, profile(model, pis, z)), comments=[KAPPA_NOTE])
         payload = {"argmin": report.to_dict(), "kappa_note": KAPPA_NOTE}
     else:
-        cfg_detect = MultistartConfig(seed=args.seed, n_starts=args.grid,
-                                      eps_value=args.eps,
-                                      delta_cluster=args.delta)
         estimate = multiplicity_probability(model, args.draws, seed=args.seed,
-                                            cfg=cfg_detect)
+                                            cfg=cfg)
         payload = {"multiplicity": estimate.to_dict(), "kappa_note": KAPPA_NOTE}
     write_report(f"{args.out}.report.json",
                  _report_envelope("weakid", config, payload))
@@ -256,7 +253,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--pi-bound", type=float, default=6.0)
-    p.add_argument("--grid", type=int, default=1201)
+    p.add_argument("--grid", type=int, default=1201,
+                   help="points of the detector's pi grid (at least 201 are "
+                        "used) and of the profile CSV")
     p.add_argument("--out", default="weakid")
     p.set_defaults(func=cmd_weakid)
 

@@ -18,18 +18,23 @@ from scipy.optimize import minimize
 from scipy.stats import qmc
 
 from .domain import Box, Domain, Objective, as_vector, eval_objective
+from .errors import ConfigError
 
 ENV_THREADS = "ARGMIN_UNIQUE_THREADS"
 
 
 def worker_count(requested: Optional[int] = None) -> int:
-    """Resolve the worker cap: explicit argument, else env var, else 1."""
+    """Resolve the worker cap: explicit argument, else env var, else 1.
+
+    A non-integer env value is a ConfigError, not a silent single worker.
+    """
     if requested is not None:
         return max(1, int(requested))
+    raw = os.environ.get(ENV_THREADS, "1")
     try:
-        return max(1, int(os.environ.get(ENV_THREADS, "1")))
-    except ValueError:
-        return 1
+        return max(1, int(raw))
+    except ValueError as exc:
+        raise ConfigError(f"{ENV_THREADS} must be an integer, got {raw!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -336,13 +341,19 @@ def value_function(obj: Objective, K: Box, z, grid: int = 1024,
     return float(best)
 
 
-def sublevel_components(values, eps: float) -> int:
-    """Number of maximal index runs with value <= min + eps on a 1-d grid."""
+def sublevel_components(values, eps):
+    """Number of maximal index runs with value <= min + eps along axis 0.
+
+    ``values`` is one 1-d grid (the count is an int) or a (G, k) block of
+    k grids as columns, with ``eps`` a scalar or one value per column (the
+    counts are a (k,) array).
+    """
     v = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(v)):
         raise ValueError("values must be finite")
-    mask = v <= v.min() + eps
-    return int(mask[0]) + int(np.sum(mask[1:] & ~mask[:-1]))
+    mask = v <= v.min(axis=0) + eps
+    runs = mask[0] + np.sum(mask[1:] & ~mask[:-1], axis=0)
+    return int(runs) if v.ndim == 1 else runs
 
 
 class ZModel(Protocol):

@@ -18,6 +18,8 @@ from scipy.stats import norm
 from .errors import KernelNotPSD
 from .globalopt import sublevel_components
 
+PATH_BLOCK = 256  # paths per matrix product in argmin_uniqueness_trial
+
 
 def gaussian_kernel(t, s):
     """exp(-(t-s)^2 / 2): smooth paths, strictly positive everywhere."""
@@ -103,6 +105,11 @@ def build_factor(spec: GPSpec) -> KernelFactor:
 
 @dataclass(frozen=True)
 class GPPath:
+    """Path values on a grid: one path of shape (G,) or a (G, k) block of paths.
+
+    The grid runs along axis 0, so column j of a block is one path.
+    """
+
     t_grid: np.ndarray
     values: np.ndarray
 
@@ -111,34 +118,46 @@ class GPPath:
         w = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "t_grid", t)
         object.__setattr__(self, "values", w)
-        if t.shape != w.shape:
+        if t.ndim != 1 or w.ndim > 2 or w.shape[:1] != t.shape:
             raise ValueError("grid / value length mismatch")
         if not np.all(np.isfinite(w)):
             raise ValueError("path values must be finite")
 
 
 def simulate_path(spec: GPSpec, seed: int,
-                  factor: Optional[KernelFactor] = None) -> GPPath:
-    """One seeded draw W = drift + L @ xi on the grid."""
+                  factor: Optional[KernelFactor] = None,
+                  n_paths: Optional[int] = None) -> GPPath:
+    """Seeded draws W = drift + L @ xi on the grid.
+
+    One path of shape (G,) when ``n_paths`` is None; otherwise a
+    (G, n_paths) block whose column i draws xi from
+    ``default_rng(seed + i)``, so a block holds the same paths as separate
+    calls with seeds seed, seed + 1, ...  The block is one matrix product.
+    """
     if factor is None:
         factor = build_factor(spec)
-    rng = np.random.default_rng(seed)
-    w = np.asarray(spec.drift(spec.grid), dtype=float) \
-        + factor.L @ rng.standard_normal(spec.grid_size)
-    return GPPath(t_grid=spec.grid, values=w)
+    k = 1 if n_paths is None else n_paths
+    xi = np.empty((spec.grid_size, k))
+    for i in range(k):
+        xi[:, i] = np.random.default_rng(seed + i).standard_normal(spec.grid_size)
+    w = np.asarray(spec.drift(spec.grid), dtype=float)[:, None] + factor.L @ xi
+    return GPPath(t_grid=spec.grid, values=w[:, 0] if n_paths is None else w)
 
 
 def objective_profile(spec: GPSpec, path: GPPath) -> np.ndarray:
-    """Q(t_k) for every grid node, by signed cumulative trapezoid from 0."""
+    """Q(t_k) for every grid node, by signed cumulative trapezoid from 0.
+
+    Works along axis 0, so a (G, k) block gives the k profiles as columns.
+    """
     t = path.t_grid
     F = norm.cdf(path.values)
-    dt = np.diff(t)
-    incr = 0.5 * (F[1:] + F[:-1]) * dt
+    shape = (-1,) + (1,) * (F.ndim - 1)
+    incr = 0.5 * (F[1:] + F[:-1]) * np.diff(t).reshape(shape)
     i0 = spec.zero_index
-    Q = np.zeros_like(t)
-    Q[i0 + 1:] = np.cumsum(incr[i0:])
-    Q[:i0] = -np.cumsum(incr[:i0][::-1])[::-1]
-    return Q - t * spec.gamma
+    Q = np.zeros_like(F)
+    Q[i0 + 1:] = np.cumsum(incr[i0:], axis=0)
+    Q[:i0] = -np.cumsum(incr[:i0][::-1], axis=0)[::-1]
+    return Q - (t * spec.gamma).reshape(shape)
 
 
 def limit_objective_path(spec: GPSpec, path: GPPath, k: int) -> float:
@@ -212,29 +231,41 @@ def argmin_uniqueness_trial(spec: GPSpec, n_paths: int,
     ``eps_schedule`` lists multipliers of each path's own value range and
     must decrease strictly; the single fraction is nondecreasing along it.
     Injected ``paths`` override simulation (used for degenerate cases).
+
+    Paths are drawn and profiled in blocks of ``PATH_BLOCK`` columns, one
+    matrix product ``drift + L @ Xi`` per block, which bounds the working
+    arrays at a few (G, PATH_BLOCK) blocks however many paths there are.
+    Path i draws its noise from ``default_rng(seed + i)``, so trials whose
+    seeds differ by less than ``n_paths`` share most of their paths: seeds
+    1 and 7 at 2000 paths share 1994 paths.
     """
     eps_schedule = tuple(float(e) for e in eps_schedule)
     if any(e2 >= e1 for e1, e2 in zip(eps_schedule, eps_schedule[1:])):
         raise ValueError("eps_schedule must be strictly decreasing")
     if paths is None:
         factor = build_factor(spec)
-        paths = [simulate_path(spec, seed=seed + i, factor=factor)
-                 for i in range(n_paths)]
     else:
         paths = list(paths)[:n_paths]
         if len(paths) < n_paths:
             raise ValueError("not enough injected paths")
     counts = np.zeros((n_paths, len(eps_schedule)), dtype=int)
     singles = np.zeros(len(eps_schedule), dtype=int)
-    for p_idx, path in enumerate(paths):
-        Q = objective_profile(spec, path)
-        value_range = float(Q.max() - Q.min())
+    for start in range(0, n_paths, PATH_BLOCK):
+        stop = min(start + PATH_BLOCK, n_paths)
+        if paths is None:
+            block = simulate_path(spec, seed + start, factor,
+                                  n_paths=stop - start)
+        else:
+            block = GPPath(t_grid=paths[start].t_grid,
+                           values=np.stack([p.values for p in paths[start:stop]],
+                                           axis=1))
+        Q = objective_profile(spec, block)
+        value_range = Q.max(axis=0) - Q.min(axis=0)
         for e_idx, mult in enumerate(eps_schedule):
             eps = mult * value_range
             ncomp = sublevel_components(Q, eps)
-            counts[p_idx, e_idx] = ncomp
-            if ncomp == 1 and value_range > eps:
-                singles[e_idx] += 1
+            counts[start:stop, e_idx] = ncomp
+            singles[e_idx] += np.sum((ncomp == 1) & (value_range > eps))
     fractions = tuple(float(s) / n_paths for s in singles)
     return TrialReport(n_paths=n_paths, eps_schedule=eps_schedule,
                        single_fractions=fractions, component_counts=counts)

@@ -409,9 +409,8 @@ def alignment_residual(model: WeakIdModel, pi, z) -> np.ndarray:
     z = as_vector(z)
     z1, z2 = z[:model.d_beta], z[model.d_beta:]
     hb = model.h_beta_at(pi)
-    hb0 = model.h_beta_at(model.pi0)
     b = np.asarray(model.b)
-    return hb @ (z1 - b) - (z2 - hb0 @ b)
+    return hb @ (z1 - b) - (z2 - model._hb_at_pi0 @ b)
 
 
 def find_alignment_roots(model: WeakIdModel, z, grid_size: int = 2001,
@@ -424,24 +423,27 @@ def find_alignment_roots(model: WeakIdModel, z, grid_size: int = 2001,
     """
     z = as_vector(z)
     scale = 1.0 + float(np.linalg.norm(z))
+    b = np.asarray(model.b)
+    target = z[model.d_beta:] - model._hb_at_pi0 @ b
+
+    def squared(p):
+        r = alignment_residual(model, float(p[0]), z)
+        return float(r @ r)
+
     roots = []
     for piece in model.pi_domain.pieces:
         lo, hi = piece.lower[0], piece.upper[0]
         pis = np.linspace(lo, hi, grid_size)
-        z1 = z[:model.d_beta]
         hbs = model.h_beta_stack(pis)
-        hb0 = model.h_beta_at(model.pi0)
-        b = np.asarray(model.b)
-        res = hbs @ (z1 - b) - (z[model.d_beta:] - hb0 @ b)[None, :]
+        res = hbs @ (z[:model.d_beta] - b) - target[None, :]
         sq = np.einsum("gi,gi->g", res, res)
         cand = np.zeros(grid_size, dtype=bool)
         cand[1:-1] = (sq[1:-1] <= sq[:-2]) & (sq[1:-1] <= sq[2:])
         cand[0] = sq[0] <= sq[1]
         cand[-1] = sq[-1] <= sq[-2]
         for i in np.nonzero(cand)[0]:
-            r = minimize(lambda p: float(alignment_residual(model, float(p[0]), z)
-                                         @ alignment_residual(model, float(p[0]), z)),
-                         x0=[pis[i]], method="Nelder-Mead", bounds=[(lo, hi)],
+            r = minimize(squared, x0=[pis[i]], method="Nelder-Mead",
+                         bounds=[(lo, hi)],
                          options={"xatol": 1e-12, "fatol": 1e-16, "maxiter": 400})
             if np.sqrt(max(float(r.fun), 0.0)) <= root_tol * scale:
                 roots.append(float(r.x[0]))

@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from argmin_unique.cli import main
+from argmin_unique.cli import FIGURE_CASES, main
+from argmin_unique.globalopt import MultistartConfig
+from argmin_unique.serialize import canonical_json
+from argmin_unique.weakid import make_example1, make_example2
 
 from oracles import ex1_roots, ex2_roots
 
@@ -31,6 +34,30 @@ def test_weakid_single_draw(tmp_path):
     assert csv_lines[0].startswith("#")  # kappa disclaimer embedded
     assert csv_lines[1] == "pi,Q"
     assert len(csv_lines) == 2 + 1201
+
+
+@pytest.mark.parametrize("name,example,z", FIGURE_CASES,
+                         ids=[case[0] for case in FIGURE_CASES])
+def test_weakid_single_draw_uses_model_detector(tmp_path, name, example, z):
+    out = tmp_path / name
+    code = run(["weakid", "--example", str(example),
+                "--z=" + ",".join(str(v) for v in z), "--grid", "801",
+                "--eps", "1e-7", "--delta", "0.02", "--seed", "3",
+                "--out", str(out)])
+    assert code == 0
+    argmin = read_report(out)["argmin"]
+    assert argmin["verdict"] == "multiple"
+    roots = ex1_roots(z) if example == 1 else ex2_roots(z)
+    reps = sorted(c["representative"][0] for c in argmin["clusters"])
+    assert reps == pytest.approx(sorted(roots), abs=1e-3)
+    # the same detector as --draws: the model's dense grid, sized by --grid
+    model = make_example1() if example == 1 else make_example2()
+    cfg = MultistartConfig(seed=3, n_starts=801, eps_value=1e-7,
+                           delta_cluster=0.02)
+    want = json.loads(canonical_json(model.detect(np.asarray(z), cfg).to_dict()))
+    assert argmin == want
+    csv_lines = (tmp_path / f"{name}.profile.csv").read_text().splitlines()
+    assert len(csv_lines) == 2 + 801
 
 
 def test_weakid_z_dimension_check(tmp_path):
@@ -162,9 +189,21 @@ def test_config_hash_tracks_tolerances(tmp_path):
     ["penalized", "--penalty", "bridge", "--q", "2"],
     ["threshold", "--grid-size", "100"],
     ["mixture", "--components", "0"],
-], ids=["penalized-lam", "penalized-q", "threshold-grid", "mixture-components"])
+    ["weakid", "--z", "1,2,3", "--grid", "0"],
+], ids=["penalized-lam", "penalized-q", "threshold-grid", "mixture-components",
+        "weakid-grid"])
 def test_invalid_settings_exit_2_without_outputs(tmp_path, args, capsys):
     out = tmp_path / "bad"
     assert run(args + ["--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "bad.report.json").exists()
+
+
+def test_non_integer_thread_setting_exits_2_without_outputs(tmp_path,
+                                                          monkeypatch, capsys):
+    monkeypatch.setenv("ARGMIN_UNIQUE_THREADS", "abc")
+    out = tmp_path / "mc"
+    assert run(["weakid", "--draws", "2", "--grid", "201",
+                "--out", str(out)]) == 2
+    assert "ARGMIN_UNIQUE_THREADS" in capsys.readouterr().err
+    assert not (tmp_path / "mc.report.json").exists()

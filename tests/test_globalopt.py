@@ -6,6 +6,7 @@ from argmin_unique import (MultistartConfig, Objective, box, cluster_minimizers,
                            multiplicity_probability, multistart_minimize,
                            sublevel_components, value_function)
 from argmin_unique.baselines import QuadraticModel
+from argmin_unique.errors import ConfigError
 from argmin_unique.globalopt import build_report, lbfgsb_descend
 from argmin_unique.serialize import canonical_json
 
@@ -223,5 +224,6 @@ def test_env_variable_caps_workers(monkeypatch):
     monkeypatch.setenv("ARGMIN_UNIQUE_THREADS", "5")
     assert worker_count() == 5
     monkeypatch.setenv("ARGMIN_UNIQUE_THREADS", "junk")
-    assert worker_count() == 1
+    with pytest.raises(ConfigError):
+        worker_count()
     assert worker_count(3) == 3

@@ -5,7 +5,9 @@ from scipy.stats import norm
 from argmin_unique import (GPPath, GPSpec, KernelNotPSD,
                            argmin_uniqueness_trial, limit_objective_path,
                            objective_profile, simulate_path)
-from argmin_unique.threshold import (build_factor, endpoint_decomposition,
+from argmin_unique.globalopt import sublevel_components
+from argmin_unique.threshold import (PATH_BLOCK, build_factor,
+                                     endpoint_decomposition,
                                      endpoint_shift_gap_derivative,
                                      exponential_kernel, kernel_matrix)
 
@@ -197,3 +199,33 @@ def test_trial_grid_refinement_keeps_flags_stable():
             flags.append(ncomp > 1)
     disagree = sum(a != b for a, b in zip(coarse_flags, fine_flags))
     assert disagree <= max(2, int(0.02 * n))
+
+
+def test_trial_blocks_match_per_path_reference():
+    spec = small_spec()
+    n, seed, schedule = PATH_BLOCK + 44, 5, (1e-2, 1e-3)
+    assert n % PATH_BLOCK
+    factor = build_factor(spec)
+    drift = np.asarray(spec.drift(spec.grid), dtype=float)
+    ref = np.stack([drift + factor.L @ np.random.default_rng(seed + i)
+                    .standard_normal(spec.grid_size) for i in range(n)], axis=1)
+    block = simulate_path(spec, seed, factor, n_paths=n).values
+    assert np.max(np.abs(block - ref)) <= 1e-12 * np.max(np.abs(ref))
+    counts = np.zeros((n, len(schedule)), dtype=int)
+    singles = np.zeros(len(schedule), dtype=int)
+    for i in range(n):
+        Q = objective_profile(spec, GPPath(t_grid=spec.grid, values=ref[:, i]))
+        value_range = float(Q.max() - Q.min())
+        for e_idx, mult in enumerate(schedule):
+            eps = mult * value_range
+            counts[i, e_idx] = sublevel_components(Q, eps)
+            singles[e_idx] += counts[i, e_idx] == 1 and value_range > eps
+    trial = argmin_uniqueness_trial(spec, n, eps_schedule=schedule, seed=seed)
+    assert np.array_equal(trial.component_counts, counts)
+    assert trial.single_fractions == tuple(float(s) / n for s in singles)
+
+
+def test_trial_rejects_non_finite_drift():
+    spec = small_spec(drift=lambda t: np.where(np.asarray(t) > 4.9, np.inf, 0.0))
+    with pytest.raises(ValueError, match="finite"):
+        argmin_uniqueness_trial(spec, 3)
