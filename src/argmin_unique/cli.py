@@ -25,7 +25,7 @@ from .mixture import (MixtureModel, MixtureParams, MixtureSample, fit_mle,
                       mixture_nll, params_from_point, read_sample_csv)
 from .penalized import PenaltySpec, RegressionData, global_minimize
 from .serialize import config_hash, write_csv, write_report
-from .threshold import GPSpec, argmin_uniqueness_trial
+from .threshold import GPSpec, argmin_uniqueness_trial, trial_settings
 from .weakid import make_example1, make_example2, profile
 
 KAPPA_NOTE = "kappa term assumed identically zero in this profile"
@@ -85,7 +85,8 @@ def cmd_weakid(args) -> int:
         "eps": args.eps, "delta": args.delta,
         "pi_bound": args.pi_bound, "grid": args.grid,
     }
-    model = _example_model(args.example, args.pi_bound)
+    model = _validated(_example_model, number=args.example,
+                       pi_bound=args.pi_bound)
     if not args.z and args.draws < 1:
         raise ConfigError("need --z (single draw) or --draws >= 1 (Monte Carlo)")
     # one detector for both modes: the model's dense grid of --grid points
@@ -125,11 +126,12 @@ def cmd_mixture(args) -> int:
     else:
         weights = _parse_floats(args.weights) if args.weights else (0.5, 0.5)
         means = _parse_floats(args.means) if args.means else (-2.0, 2.0)
-        model = MixtureModel(true_params=MixtureParams(weights=weights, means=means),
-                             n=args.n, fit_J=args.components)
+        params = _validated(MixtureParams, weights=weights, means=means)
+        model = _validated(MixtureModel, true_params=params, n=args.n,
+                           fit_J=args.components)
         rng = np.random.default_rng(args.seed)
         sample = MixtureSample(z=tuple(model.sample_z(rng)))
-    cfg = MultistartConfig(seed=args.seed, n_starts=args.starts)
+    cfg = _validated(MultistartConfig, seed=args.seed, n_starts=args.starts)
     report = fit_mle(sample, args.components, cfg, force=args.force)
     if not report.clusters:
         raise DiagnosticsError("no converged fit")
@@ -155,15 +157,14 @@ def cmd_penalized(args) -> int:
                       a=args.a, gamma=args.gamma)
     if args.data:
         raw = np.loadtxt(args.data, delimiter=",", skiprows=1)
-        data = RegressionData(y=tuple(raw[:, 0]),
-                              x=tuple(tuple(r) for r in raw[:, 1:]))
+        y, X = raw[:, 0], raw[:, 1:]
     else:
         rng = np.random.default_rng(args.seed)
         X = rng.standard_normal((args.n, args.d))
         beta0 = np.zeros(args.d)
         beta0[: max(1, args.d // 2)] = 1.0
         y = X @ beta0 + rng.standard_normal(args.n)
-        data = RegressionData(y=tuple(y), x=tuple(tuple(r) for r in X))
+    data = _validated(RegressionData, y=tuple(y), x=tuple(tuple(r) for r in X))
     cfg = MultistartConfig(seed=args.seed)
     report = global_minimize(spec, data, cfg)
     if not report.clusters:
@@ -189,8 +190,9 @@ def cmd_threshold(args) -> int:
     }
     spec = _validated(GPSpec, m_bound=args.m_bound, grid_size=args.grid_size,
                       gamma=args.gamma)
-    trial = argmin_uniqueness_trial(spec, args.paths,
-                                    eps_schedule=_parse_floats(args.eps_schedule),
+    eps_schedule = _validated(trial_settings, n_paths=args.paths,
+                              eps_schedule=_parse_floats(args.eps_schedule))
+    trial = argmin_uniqueness_trial(spec, args.paths, eps_schedule=eps_schedule,
                                     seed=args.seed)
     payload = {"trial": trial.to_dict()}
     _ensure_parent(args.out)
@@ -214,6 +216,8 @@ def cmd_generic_check(args) -> int:
         z_region = box([-3.0] * model.d_z, [3.0] * model.d_z)
     else:
         raise ConfigError(f"unknown model {args.model!r}")
+    if args.resolution < 2:
+        raise ConfigError("--resolution must be at least 2")
     z_points = [np.asarray(_parse_floats(args.z))] if args.z else None
     report = scan_grid(obj, domain, z_region=z_region,
                        resolution=args.resolution, tol=args.tol,

@@ -8,33 +8,13 @@ analogue of argmin uniqueness.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Protocol, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.stats import qmc
 
 from .domain import Box, Domain, Objective, as_vector, eval_objective
-from .errors import ConfigError
-
-ENV_THREADS = "ARGMIN_UNIQUE_THREADS"
-
-
-def worker_count(requested: Optional[int] = None) -> int:
-    """Resolve the worker cap: explicit argument, else env var, else 1.
-
-    A non-integer env value is a ConfigError, not a silent single worker.
-    """
-    if requested is not None:
-        return max(1, int(requested))
-    raw = os.environ.get(ENV_THREADS, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError as exc:
-        raise ConfigError(f"{ENV_THREADS} must be an integer, got {raw!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -51,8 +31,6 @@ class MultistartConfig:
     max_iters: int = 400
     eps_value: Optional[float] = None
     delta_cluster: Optional[float] = None
-    polish: bool = True
-    workers: Optional[int] = None
 
     def __post_init__(self):
         if self.n_starts < 1:
@@ -177,6 +155,10 @@ def _sobol_starts(piece: Box, n: int, key: tuple) -> list:
     """Deterministic stratified starts inside a piece (repaired if constrained)."""
     if piece.intrinsic_dim == 0:
         return [piece.anchor]
+    # imported here: scipy.stats adds about 20 MB to every process that
+    # imports the package, and only the multistart needs it
+    from scipy.stats import qmc
+
     rng = np.random.default_rng(np.random.SeedSequence(seed_key(*key)))
     sampler = qmc.Sobol(d=piece.dim, scramble=True, seed=rng)
     unit = sampler.random(int(2 ** np.ceil(np.log2(max(n, 1)))))[:n]
@@ -210,7 +192,7 @@ def _penalized(fn: Callable, piece: Box, z: np.ndarray) -> Callable:
 
 def _descend(obj: Objective, piece: Box, z: np.ndarray, t_start: np.ndarray,
              cfg: MultistartConfig) -> tuple:
-    """Simplex descent plus optional derivative-polish; returns (t, value, ok)."""
+    """Simplex descent plus a derivative polish; returns (t, value, ok)."""
     if piece.intrinsic_dim == 0:
         v = eval_objective(obj, t_start, z)
         return t_start, v, True
@@ -234,15 +216,14 @@ def _descend(obj: Objective, piece: Box, z: np.ndarray, t_start: np.ndarray,
                    options={"maxiter": cfg.max_iters * max(1, len(u0)),
                             "fatol": cfg.local_tol, "xatol": 1e-9})
     u_best, v_best, ok = res.x, float(res.fun), bool(res.success)
-    if cfg.polish:
-        try:
-            pol = minimize(fn, u_best, method="L-BFGS-B", bounds=bounds,
-                           options={"maxiter": cfg.max_iters})
-            if np.isfinite(pol.fun) and pol.fun <= v_best:
-                u_best, v_best = pol.x, float(pol.fun)
-                ok = ok or bool(pol.success)
-        except (ValueError, FloatingPointError):
-            pass
+    try:
+        pol = minimize(fn, u_best, method="L-BFGS-B", bounds=bounds,
+                       options={"maxiter": cfg.max_iters})
+        if np.isfinite(pol.fun) and pol.fun <= v_best:
+            u_best, v_best = pol.x, float(pol.fun)
+            ok = ok or bool(pol.success)
+    except (ValueError, FloatingPointError):
+        pass
     if not plain_box:
         # report Q at the point itself, without the infeasibility charge
         t_best = piece.from_intrinsic(u_best)
@@ -282,23 +263,15 @@ def multistart_minimize(obj: Objective, domain: Domain, z,
                         cfg: MultistartConfig = DEFAULT_CONFIG) -> ArgminReport:
     """Seeded multistart over every domain piece, clustered into a report.
 
-    Deterministic for a fixed (cfg.seed, domain, z) regardless of the
-    worker count: starts are generated up front and reductions are
-    order-insensitive.
+    Deterministic for a fixed (cfg.seed, domain, z): the starts of piece k
+    come from a Sobol sequence keyed by (cfg.seed, k), and every start is
+    descended in order.
     """
     z = as_vector(z)
-    tasks = []
     per_piece = max(1, cfg.n_starts // len(domain.pieces))
-    for p_idx, piece in enumerate(domain.pieces):
-        for t0 in _sobol_starts(piece, per_piece, (cfg.seed, p_idx)):
-            tasks.append((piece, t0))
-    workers = worker_count(cfg.workers)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda task: _descend(obj, task[0], z, task[1], cfg), tasks))
-    else:
-        results = [_descend(obj, piece, z, t0, cfg) for piece, t0 in tasks]
+    results = [_descend(obj, piece, z, t0, cfg)
+               for p_idx, piece in enumerate(domain.pieces)
+               for t0 in _sobol_starts(piece, per_piece, (cfg.seed, p_idx))]
     return report_descents(results, domain.diameter(), cfg)
 
 
@@ -384,22 +357,14 @@ def multiplicity_probability(model: ZModel, n_draws: int, seed: int = 0,
     """Fraction of z-draws whose detector verdict is "multiple".
 
     Each draw gets an independent RNG stream keyed by (seed, draw index),
-    so the estimate does not depend on execution order or worker count.
+    so draw i can be replayed on its own from ``seed_key(seed, i)``.
     """
     if n_draws < 1:
         raise ValueError("n_draws must be at least 1")
-
-    def one(i: int) -> str:
+    verdicts = []
+    for i in range(n_draws):
         rng = np.random.default_rng(np.random.SeedSequence(seed_key(seed, i)))
-        z = model.sample_z(rng)
-        return model.detect(z, cfg).verdict
-
-    workers = worker_count(cfg.workers)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            verdicts = list(pool.map(one, range(n_draws)))
-    else:
-        verdicts = [one(i) for i in range(n_draws)]
+        verdicts.append(model.detect(model.sample_z(rng), cfg).verdict)
     n_multiple = sum(v == "multiple" for v in verdicts)
     n_inc = sum(v == "inconclusive" for v in verdicts)
     p = n_multiple / n_draws

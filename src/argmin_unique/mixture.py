@@ -391,6 +391,10 @@ class MixtureModel:
     n: int
     fit_J: int
 
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("n must be at least 1")
+
     def sample_z(self, rng: np.random.Generator) -> np.ndarray:
         comp = rng.choice(self.true_params.n_components, size=self.n,
                           p=self.true_params.weights_arr)

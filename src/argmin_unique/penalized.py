@@ -111,6 +111,8 @@ class RegressionData:
         object.__setattr__(self, "x", tuple(tuple(r) for r in X))
         if X.shape[0] != len(y):
             raise ValueError("row count of x must match length of y")
+        if X.shape[1] < 1:
+            raise ValueError("x must have at least one column")
         if X.shape[0] < X.shape[1]:
             raise ValueError("need n >= d")
         s = np.linalg.svd(X, compute_uv=False)

@@ -1,7 +1,7 @@
 """Canonical JSON / CSV writers for reproducible reports.
 
-Reports must be byte-identical across reruns and worker counts, so floats
-are rendered with 12 significant digits and dictionary keys are sorted.
+Reports must be byte-identical across reruns, so floats are rendered with
+12 significant digits and dictionary keys are sorted.
 """
 
 from __future__ import annotations

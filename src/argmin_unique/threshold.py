@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .errors import KernelNotPSD
 from .globalopt import sublevel_components
@@ -150,7 +150,7 @@ def objective_profile(spec: GPSpec, path: GPPath) -> np.ndarray:
     Works along axis 0, so a (G, k) block gives the k profiles as columns.
     """
     t = path.t_grid
-    F = norm.cdf(path.values)
+    F = ndtr(path.values)  # standard normal cdf
     shape = (-1,) + (1,) * (F.ndim - 1)
     incr = 0.5 * (F[1:] + F[:-1]) * np.diff(t).reshape(shape)
     i0 = spec.zero_index
@@ -222,6 +222,19 @@ class TrialReport:
                 "single_fractions": list(self.single_fractions)}
 
 
+def trial_settings(n_paths: int, eps_schedule: Sequence[float]) -> tuple:
+    """The eps schedule as a tuple of floats, after checking the settings.
+
+    ValueError unless n_paths >= 1 and the schedule decreases strictly.
+    """
+    if n_paths < 1:
+        raise ValueError("n_paths must be at least 1")
+    eps_schedule = tuple(float(e) for e in eps_schedule)
+    if any(e2 >= e1 for e1, e2 in zip(eps_schedule, eps_schedule[1:])):
+        raise ValueError("eps_schedule must be strictly decreasing")
+    return eps_schedule
+
+
 def argmin_uniqueness_trial(spec: GPSpec, n_paths: int,
                             eps_schedule: Sequence[float] = (1e-2, 3e-3, 1e-3, 3e-4),
                             seed: int = 0,
@@ -239,9 +252,7 @@ def argmin_uniqueness_trial(spec: GPSpec, n_paths: int,
     seeds differ by less than ``n_paths`` share most of their paths: seeds
     1 and 7 at 2000 paths share 1994 paths.
     """
-    eps_schedule = tuple(float(e) for e in eps_schedule)
-    if any(e2 >= e1 for e1, e2 in zip(eps_schedule, eps_schedule[1:])):
-        raise ValueError("eps_schedule must be strictly decreasing")
+    eps_schedule = trial_settings(n_paths, eps_schedule)
     if paths is None:
         factor = build_factor(spec)
     else:

@@ -19,13 +19,15 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .domain import Domain, Objective, as_vector, box
-from .errors import SingularDesign
 # cluster_minimizers stays a module attribute: bench/layers.py wraps it here
 from .globalopt import (ArgminReport, DEFAULT_CONFIG, MultistartConfig,
                         build_report, cluster_minimizers)
 
 DEFAULT_PI_BOUND = 6.0
 EIGENVALUE_FLOOR = 1e-12
+# odd, with a power of two of gaps, so the middle sample sits exactly on the
+# current best point; each refinement round shrinks a bracket eightfold
+REFINE_SAMPLES = 17
 
 
 @dataclass(frozen=True)
@@ -97,10 +99,6 @@ class WeakIdModel:
     def _hb_at_pi0(self) -> np.ndarray:
         return self.h_beta_at(self.pi0)
 
-    @cached_property
-    def _b_is_zero(self) -> bool:
-        return not np.any(np.asarray(self.b))
-
     def h_beta_at(self, pi) -> np.ndarray:
         if self.h_beta is not None:
             return np.atleast_2d(np.asarray(self.h_beta(np.asarray(self.beta0), pi),
@@ -150,131 +148,108 @@ def _fd_h_beta(h: Callable, beta0: np.ndarray, pi, d_h: int,
     return np.stack(cols, axis=1).reshape(d_h, len(beta0))
 
 
-def _solve_small(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve gram @ x = rhs for tiny symmetric positive definite systems."""
-    n = gram.shape[0]
-    if n == 1:
-        if gram[0, 0] == 0.0:
-            raise SingularDesign("S'S singular")
-        return rhs / gram[0, 0]
-    if n == 2:
-        det = gram[0, 0] * gram[1, 1] - gram[0, 1] * gram[1, 0]
-        if det == 0.0:
-            raise SingularDesign("S'S singular")
-        return np.array([
-            (gram[1, 1] * rhs[0] - gram[0, 1] * rhs[1]) / det,
-            (gram[0, 0] * rhs[1] - gram[1, 0] * rhs[0]) / det,
-        ])
-    try:
-        return np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError as exc:  # unreachable: identity block keeps rank
-        raise SingularDesign("S'S singular") from exc
+def _frames(model: WeakIdModel, pis) -> tuple:
+    """Frames S(pi) (G, d_z, d_beta) and drifts g(pi) (G, d_z) on a 1-d grid.
 
-
-def _frame_and_drift(model: WeakIdModel, pi) -> tuple:
-    """(S, g) at one pi without forming the projector."""
-    hb = model.h_beta_at(pi)
-    T = np.empty((model.d_z, model.d_beta))
-    T[:model.d_beta] = np.eye(model.d_beta)
-    T[model.d_beta:] = hb
-    S = model.sqrt_H @ T
-    if model._b_is_zero:
-        g = np.zeros(model.d_z)
-    else:
-        gv = np.zeros(model.d_z)
-        gv[model.d_beta:] = (hb - model._hb_at_pi0) @ np.asarray(model.b)
-        g = model.sqrt_H @ gv
+    S = H^(1/2) [I; h_beta] and g = H^(1/2) [0; (h_beta - h_beta(pi0)) b],
+    written with the two column blocks of H^(1/2).
+    """
+    hbs = model.h_beta_stack(np.asarray(pis, dtype=float).ravel())
+    top, bottom = model.sqrt_H[:, :model.d_beta], model.sqrt_H[:, model.d_beta:]
+    S = top + bottom @ hbs
+    g = ((hbs - model._hb_at_pi0) @ np.asarray(model.b)) @ bottom.T
     return S, g
 
 
 def limit_components(model: WeakIdModel, pi) -> LimitComponents:
     """g(pi), S(pi) and the projector P(pi) onto the span of S."""
-    S, g = _frame_and_drift(model, pi)
-    gram = S.T @ S
-    try:
-        gram_inv = np.linalg.inv(gram)
-    except np.linalg.LinAlgError as exc:  # unreachable: identity block keeps rank
-        raise SingularDesign("S'S singular") from exc
-    P = S @ gram_inv @ S.T
-    return LimitComponents(g=g, S=S, P=P)
+    S, g = _frames(model, [pi])
+    S, g = S[0], g[0]
+    return LimitComponents(g=g, S=S, P=S @ np.linalg.solve(S.T @ S, S.T))
 
 
 def limit_objective(model: WeakIdModel, pi, z) -> float:
-    """Profiled limit objective at (pi, z)."""
-    S, g = _frame_and_drift(model, pi)
-    Hz = model.sqrt_H @ np.asarray(z, dtype=float)
-    v = Hz + g
-    Sv = S.T @ v
-    quad = float(Sv @ _solve_small(S.T @ S, Sv))
-    lin = 0.0 if model._b_is_zero else 2.0 * float(Hz @ g)
-    return lin - quad + model.kappa_at(pi)
+    """Profiled limit objective at (pi, z): ``profile`` at one point."""
+    return float(profile(model, [pi], z)[0])
 
 
 def limit_objective_grad_z(model: WeakIdModel, pi, z) -> np.ndarray:
-    S, g = _frame_and_drift(model, pi)
-    v = model.sqrt_H @ as_vector(z) + g
-    Pv = S @ _solve_small(S.T @ S, S.T @ v)
-    return 2.0 * model.sqrt_H @ (g - Pv)
+    comps = limit_components(model, pi)
+    v = model.sqrt_H @ as_vector(z) + comps.g
+    return 2.0 * model.sqrt_H @ (comps.g - comps.P @ v)
 
 
 def profile(model: WeakIdModel, pis, z) -> np.ndarray:
     """Q(pi, z) on a 1-d grid of pi values (batched linear algebra)."""
     pis = np.asarray(pis, dtype=float).ravel()
-    G = len(pis)
-    hbs = model.h_beta_stack(pis)                       # (G, d_h, d_beta)
-    hb0 = model._hb_at_pi0
-    b = np.asarray(model.b)
-    sqH = model.sqrt_H
-    eye = np.broadcast_to(np.eye(model.d_beta), (G, model.d_beta, model.d_beta))
-    T = np.concatenate([np.array(eye), hbs], axis=1)    # (G, d_z, d_beta)
-    S = np.einsum("ij,gjk->gik", sqH, T)
-    gvec = np.concatenate([np.zeros((G, model.d_beta)),
-                           np.einsum("gij,j->gi", hbs - hb0[None], b)], axis=1)
-    g = np.einsum("ij,gj->gi", sqH, gvec)
-    gram = np.einsum("gij,gik->gjk", S, S)
-    gram_inv = np.linalg.inv(gram)
-    Hz = sqH @ as_vector(z)
-    v = Hz[None, :] + g
-    Sv = np.einsum("gij,gi->gj", S, v)
-    quad = np.einsum("gj,gjk,gk->g", Sv, gram_inv, Sv)
-    lin = 2.0 * g @ Hz
+    S, g = _frames(model, pis)
+    Hz = model.sqrt_H @ as_vector(z)
+    St = np.swapaxes(S, 1, 2)
+    Sv = St @ (Hz + g)[..., None]
+    quad = np.einsum("gjk,gjk->g", Sv, np.linalg.solve(St @ S, Sv))
     if model.kappa is None:
         kap = 0.0
     else:
         kap = np.asarray([model.kappa_at(p) for p in pis])
-    return lin - quad + kap
+    return 2.0 * g @ Hz - quad + kap
 
 
-def profile_report(model: WeakIdModel, z, grid_size: Optional[int] = None,
+def _grid_dips(values: np.ndarray) -> np.ndarray:
+    """Indices of grid values no higher than their neighbours, ends included."""
+    dip = np.empty(len(values), dtype=bool)
+    dip[1:-1] = (values[1:-1] <= values[:-2]) & (values[1:-1] <= values[2:])
+    dip[0] = values[0] <= values[1]
+    dip[-1] = values[-1] <= values[-2]
+    return np.nonzero(dip)[0]
+
+
+def _refine_dips(f: Callable, grid: np.ndarray, values: np.ndarray,
+                 xtol: float) -> tuple:
+    """Minimize f near each dip of ``values`` on a uniform grid, all at once.
+
+    ``f`` maps a 1-d array of points to their values in one batched call.
+    Dip i stays in the bracket [grid[i-1], grid[i+1]].  Each round samples
+    REFINE_SAMPLES points spanning one half-width on either side of every
+    dip's best point so far (one call of ``f`` for all dips) and moves each
+    dip to its best sample; the half-width starts at one grid step and
+    shrinks to one sample spacing per round until it is at most ``xtol``.
+    The best point is itself sampled, so a dip's value never rises above
+    its grid value.  Returns (points, values), one per dip.
+    """
+    i = _grid_dips(values)
+    lo = grid[np.maximum(i - 1, 0), None]
+    hi = grid[np.minimum(i + 1, len(grid) - 1), None]
+    x, fx = grid[i], values[i]
+    rows = np.arange(len(i))
+    offsets = np.linspace(-1.0, 1.0, REFINE_SAMPLES)
+    half = grid[1] - grid[0]
+    while half > xtol:
+        t = np.clip(x[:, None] + half * offsets, lo, hi)
+        v = f(t.ravel()).reshape(t.shape)
+        best = np.argmin(v, axis=1)
+        x, fx = t[rows, best], v[rows, best]
+        half *= 2.0 / (REFINE_SAMPLES - 1)
+    return x, fx
+
+
+def profile_report(model: WeakIdModel, z,
                    cfg: MultistartConfig = DEFAULT_CONFIG) -> ArgminReport:
-    """Dense-grid detector for 1-d pi domains: grid dips polished locally.
+    """Dense-grid detector for 1-d pi domains: grid dips refined in brackets.
 
     Deterministic (no randomness: the starts are the grid itself).  The
-    grid defaults to cfg.n_starts points per piece, at least 201.
+    grid has cfg.n_starts points per piece, at least 201.  Every dip is
+    refined by ``_refine_dips`` to 1e-10 in pi and yields one candidate, so
+    the converged fraction is 1.
     """
     z = as_vector(z)
-    G = grid_size if grid_size is not None else max(cfg.n_starts, 201)
+    G = max(cfg.n_starts, 201)
     candidates = []
-    n_polished = n_ok = 0
     for piece in model.pi_domain.pieces:
-        lo, hi = piece.lower[0], piece.upper[0]
-        pis = np.linspace(lo, hi, G)
-        q = profile(model, pis, z)
-        interior = np.zeros(G, dtype=bool)
-        interior[1:-1] = (q[1:-1] <= q[:-2]) & (q[1:-1] <= q[2:])
-        interior[0] = q[0] <= q[1]
-        interior[-1] = q[-1] <= q[-2]
-        for i in np.nonzero(interior)[0]:
-            res = minimize(lambda p: limit_objective(model, float(p[0]), z),
-                           x0=[pis[i]], method="Nelder-Mead",
-                           bounds=[(lo, hi)],
-                           options={"xatol": 1e-10, "fatol": 1e-13,
-                                    "maxiter": cfg.max_iters})
-            n_polished += 1
-            n_ok += bool(res.success)
-            candidates.append((np.array([float(res.x[0])]), float(res.fun)))
-    return build_report(candidates, n_ok / max(1, n_polished),
-                        model.pi_domain.diameter(), cfg)
+        pis = np.linspace(piece.lower[0], piece.upper[0], G)
+        xs, qs = _refine_dips(lambda p: profile(model, p, z), pis,
+                              profile(model, pis, z), xtol=1e-10)
+        candidates += [(np.array([x]), float(q)) for x, q in zip(xs, qs)]
+    return build_report(candidates, 1.0, model.pi_domain.diameter(), cfg)
 
 
 @dataclass(frozen=True)
@@ -404,49 +379,31 @@ def check_injectivity_condition(model: WeakIdModel, n_beta: int = 100,
                              examples=tuple(examples))
 
 
-def alignment_residual(model: WeakIdModel, pi, z) -> np.ndarray:
-    """Residual of h_beta(beta0, pi) (z1 - b) = z2 - h_beta(beta0, pi0) b."""
-    z = as_vector(z)
-    z1, z2 = z[:model.d_beta], z[model.d_beta:]
-    hb = model.h_beta_at(pi)
-    b = np.asarray(model.b)
-    return hb @ (z1 - b) - (z2 - model._hb_at_pi0 @ b)
-
-
 def find_alignment_roots(model: WeakIdModel, z, grid_size: int = 2001,
                          root_tol: float = 1e-8,
                          separation: float = 1e-3) -> tuple:
     """Well-separated pi solutions of the alignment equation.
 
+    The equation is h_beta(beta0, pi) (z1 - b) = z2 - h_beta(beta0, pi0) b.
     The count of these roots is the mechanism behind multiple-minimizer
     draws: each root is a pi where the projected residual vanishes exactly.
     """
     z = as_vector(z)
     scale = 1.0 + float(np.linalg.norm(z))
     b = np.asarray(model.b)
+    coef = z[:model.d_beta] - b
     target = z[model.d_beta:] - model._hb_at_pi0 @ b
 
-    def squared(p):
-        r = alignment_residual(model, float(p[0]), z)
-        return float(r @ r)
+    def squared(pis):
+        r = model.h_beta_stack(pis) @ coef - target
+        return np.einsum("gi,gi->g", r, r)
 
     roots = []
     for piece in model.pi_domain.pieces:
-        lo, hi = piece.lower[0], piece.upper[0]
-        pis = np.linspace(lo, hi, grid_size)
-        hbs = model.h_beta_stack(pis)
-        res = hbs @ (z[:model.d_beta] - b) - target[None, :]
-        sq = np.einsum("gi,gi->g", res, res)
-        cand = np.zeros(grid_size, dtype=bool)
-        cand[1:-1] = (sq[1:-1] <= sq[:-2]) & (sq[1:-1] <= sq[2:])
-        cand[0] = sq[0] <= sq[1]
-        cand[-1] = sq[-1] <= sq[-2]
-        for i in np.nonzero(cand)[0]:
-            r = minimize(squared, x0=[pis[i]], method="Nelder-Mead",
-                         bounds=[(lo, hi)],
-                         options={"xatol": 1e-12, "fatol": 1e-16, "maxiter": 400})
-            if np.sqrt(max(float(r.fun), 0.0)) <= root_tol * scale:
-                roots.append(float(r.x[0]))
+        pis = np.linspace(piece.lower[0], piece.upper[0], grid_size)
+        xs, sq = _refine_dips(squared, pis, squared(pis), xtol=1e-12)
+        roots += [float(x) for x, v in zip(xs, sq)
+                  if np.sqrt(max(float(v), 0.0)) <= root_tol * scale]
     roots.sort()
     merged = []
     for r in roots:
@@ -474,9 +431,7 @@ def make_example1(b=(0.0, 0.0), H=None, kappa=None,
 
     def h_beta(beta, pi):
         pi = np.asarray(pi, dtype=float)
-        if pi.ndim == 0:
-            return np.array([[float(pi), float(pi) ** 2]])
-        return np.stack([pi, pi ** 2], axis=-1)[:, None, :]
+        return np.stack([pi, pi ** 2], -1)[..., None, :]
 
     return WeakIdModel(d_beta=2, d_h=1, h=h, h_beta=h_beta,
                        beta0=(0.0, 0.0), pi0=0.0, b=tuple(b), H=H,
@@ -501,10 +456,7 @@ def make_example2(b=(0.0,), H=None, kappa=None,
 
     def h_beta(beta, pi):
         pi = np.asarray(pi, dtype=float)
-        if pi.ndim == 0:
-            return np.array([[float(pi) + float(pi) ** 2], [0.0]])
-        zero = np.zeros_like(pi)
-        return np.stack([pi + pi ** 2, zero], axis=-1)[..., None]
+        return np.stack([pi + pi ** 2, np.zeros_like(pi)], -1)[..., None]
 
     return WeakIdModel(d_beta=1, d_h=2, h=h, h_beta=h_beta,
                        beta0=(0.0,), pi0=0.0, b=tuple(b), H=H,

@@ -190,20 +190,23 @@ def test_config_hash_tracks_tolerances(tmp_path):
     ["threshold", "--grid-size", "100"],
     ["mixture", "--components", "0"],
     ["weakid", "--z", "1,2,3", "--grid", "0"],
+    ["threshold", "--paths", "0"],
+    ["penalized", "--d", "0"],
+    ["weakid", "--draws", "2", "--pi-bound", "0"],
+    ["threshold", "--paths", "-5"],
+    ["threshold", "--eps-schedule", "1e-3,1e-2"],
+    ["mixture", "--starts", "0"],
+    ["mixture", "--n", "0"],
+    ["mixture", "--weights", "0.5,0.6"],
+    ["generic-check", "--resolution", "1"],
+    ["penalized", "--n", "3", "--d", "5"],
 ], ids=["penalized-lam", "penalized-q", "threshold-grid", "mixture-components",
-        "weakid-grid"])
+        "weakid-grid", "threshold-paths-0", "penalized-d-0", "weakid-pi-bound",
+        "threshold-paths-negative", "threshold-eps-increasing",
+        "mixture-starts", "mixture-n", "mixture-weights",
+        "generic-check-resolution", "penalized-n-below-d"])
 def test_invalid_settings_exit_2_without_outputs(tmp_path, args, capsys):
     out = tmp_path / "bad"
     assert run(args + ["--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "bad.report.json").exists()
-
-
-def test_non_integer_thread_setting_exits_2_without_outputs(tmp_path,
-                                                          monkeypatch, capsys):
-    monkeypatch.setenv("ARGMIN_UNIQUE_THREADS", "abc")
-    out = tmp_path / "mc"
-    assert run(["weakid", "--draws", "2", "--grid", "201",
-                "--out", str(out)]) == 2
-    assert "ARGMIN_UNIQUE_THREADS" in capsys.readouterr().err
-    assert not (tmp_path / "mc.report.json").exists()

@@ -6,7 +6,6 @@ from argmin_unique import (MultistartConfig, Objective, box, cluster_minimizers,
                            multiplicity_probability, multistart_minimize,
                            sublevel_components, value_function)
 from argmin_unique.baselines import QuadraticModel
-from argmin_unique.errors import ConfigError
 from argmin_unique.globalopt import build_report, lbfgsb_descend
 from argmin_unique.serialize import canonical_json
 
@@ -145,14 +144,6 @@ def test_multistart_diverging_objective_is_inconclusive(quad_domain):
     assert report.verdict == "inconclusive"
 
 
-def test_multistart_deterministic_across_worker_counts(quad_objective, quad_domain):
-    cfg1 = MultistartConfig(seed=9, n_starts=16, workers=1)
-    cfg8 = MultistartConfig(seed=9, n_starts=16, workers=8)
-    r1 = multistart_minimize(quad_objective, quad_domain, 0.25, cfg1)
-    r8 = multistart_minimize(quad_objective, quad_domain, 0.25, cfg8)
-    assert canonical_json(r1.to_dict()) == canonical_json(r8.to_dict())
-
-
 def test_multistart_rerun_is_byte_identical(fig1_left_z):
     model = make_example1()
     cfg = MultistartConfig(seed=4, n_starts=64)
@@ -210,20 +201,9 @@ def test_multiplicity_probability_convex_quadratic():
     assert est.n_draws == 60
 
 
-def test_multiplicity_probability_order_independent(monkeypatch):
+def test_multiplicity_probability_order_independent():
     model = QuadraticModel()
-    cfg1 = MultistartConfig(n_starts=8, workers=1)
-    cfg4 = MultistartConfig(n_starts=8, workers=4)
-    e1 = multiplicity_probability(model, 20, seed=3, cfg=cfg1)
-    e4 = multiplicity_probability(model, 20, seed=3, cfg=cfg4)
-    assert e1 == e4
-
-
-def test_env_variable_caps_workers(monkeypatch):
-    from argmin_unique.globalopt import worker_count
-    monkeypatch.setenv("ARGMIN_UNIQUE_THREADS", "5")
-    assert worker_count() == 5
-    monkeypatch.setenv("ARGMIN_UNIQUE_THREADS", "junk")
-    with pytest.raises(ConfigError):
-        worker_count()
-    assert worker_count(3) == 3
+    cfg = MultistartConfig(n_starts=8)
+    e1 = multiplicity_probability(model, 20, seed=3, cfg=cfg)
+    e2 = multiplicity_probability(model, 20, seed=3, cfg=cfg)
+    assert e1 == e2

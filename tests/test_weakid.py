@@ -6,6 +6,7 @@ from argmin_unique import (MultistartConfig, check_injectivity_condition,
                            find_alignment_roots, limit_components,
                            limit_objective, make_example1, make_example2,
                            profile, profile_report)
+from argmin_unique.globalopt import seed_key
 from argmin_unique.weakid import (WeakIdModel, limit_objective_grad_z,
                                   with_pi_bound)
 
@@ -254,3 +255,37 @@ def test_profile_report_example1_roots(fig1_left_z):
     assert report.verdict == "multiple"
     got = sorted(c.representative[0] for c in report.clusters)
     assert got == pytest.approx(list(ex1_roots(fig1_left_z)), abs=1e-3)
+
+
+@pytest.mark.parametrize("factory", [make_example1, make_example2])
+def test_profile_report_never_above_its_grid(factory):
+    """Refined dips stay in the domain and never rise above the grid minimum."""
+    m = with_pi_bound(factory(), 50.0)
+    cfg = MultistartConfig(n_starts=1001, delta_cluster=0.05)
+    grid = np.linspace(-50.0, 50.0, 1001)
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        z = rng.standard_normal(3)
+        report = profile_report(m, z, cfg=cfg)
+        assert report.converged_fraction == 1.0
+        assert report.global_value <= profile(m, grid, z).min()
+        assert all(abs(c.representative[0]) <= 50.0 for c in report.clusters)
+
+
+def test_profile_report_keeps_flat_valley_in_one_cluster():
+    """Criterion 3's draw 1062: one root sits in a valley flat to 1e-11.
+
+    Each grid dip is refined inside its own bracket, so the flat valley
+    around the root near -144.6 yields one cluster, not three.
+    """
+    m = with_pi_bound(make_example1(), 200.0)
+    cfg = MultistartConfig(n_starts=4001, delta_cluster=0.05)
+    rng = np.random.default_rng(np.random.SeedSequence(seed_key(2024, 1062)))
+    z = m.sample_z(rng)
+    assert z == pytest.approx([0.37095, 0.00250, -1.26767], abs=1e-5)
+    report = profile_report(m, z, cfg=cfg)
+    assert report.n_clusters == 2
+    assert report.converged_fraction == 1.0
+    got = sorted(c.representative[0] for c in report.clusters)
+    for pi, r in zip(got, sorted(ex1_roots(z))):
+        assert abs(pi - r) <= 1e-3 * (1 + abs(r))
