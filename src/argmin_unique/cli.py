@@ -46,10 +46,14 @@ def _parse_floats(text: str) -> tuple:
 
 
 def _validated(build, **kwargs):
-    """Build a config object; its validation errors are configuration errors."""
+    """Build a config object or read an input file.
+
+    Its validation errors and a missing or unreadable file are
+    configuration errors.
+    """
     try:
         return build(**kwargs)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -122,7 +126,7 @@ def cmd_mixture(args) -> int:
     if args.components < 1:
         raise ConfigError("--components must be at least 1")
     if args.data:
-        sample = read_sample_csv(args.data)
+        sample = _validated(read_sample_csv, path=args.data)
     else:
         weights = _parse_floats(args.weights) if args.weights else (0.5, 0.5)
         means = _parse_floats(args.means) if args.means else (-2.0, 2.0)
@@ -156,9 +160,12 @@ def cmd_penalized(args) -> int:
     spec = _validated(PenaltySpec, kind=args.penalty, lam=args.lam, q=args.q,
                       a=args.a, gamma=args.gamma)
     if args.data:
-        raw = np.loadtxt(args.data, delimiter=",", skiprows=1)
+        raw = _validated(np.loadtxt, fname=args.data, delimiter=",",
+                         skiprows=1, ndmin=2)
         y, X = raw[:, 0], raw[:, 1:]
     else:
+        if args.n < 1 or args.d < 1:
+            raise ConfigError("--n and --d must be at least 1")
         rng = np.random.default_rng(args.seed)
         X = rng.standard_normal((args.n, args.d))
         beta0 = np.zeros(args.d)

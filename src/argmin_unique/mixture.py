@@ -16,12 +16,11 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 import numpy as np
-from scipy.special import logsumexp
 
 from .domain import Box, Domain, Objective, as_vector
 # cluster_minimizers stays a module attribute: bench/layers.py wraps it here
 from .globalopt import (ArgminReport, DEFAULT_CONFIG, MultistartConfig,
-                        build_report, cluster_minimizers, seed_key)
+                        cluster_minimizers, report_descents, seed_key)
 
 logger = logging.getLogger(__name__)
 
@@ -125,11 +124,24 @@ class MixtureSample:
         return np.asarray(self.z)
 
 
+def _posterior(weights: np.ndarray, means: np.ndarray, z) -> tuple:
+    """Log density and responsibilities, component-major.
+
+    ``weights`` and ``means`` are (J,) for one mixture or (J, S) for S
+    mixtures at once, and ``z`` is an (n,) vector or a scalar (n = 1).
+    Returns log f(z), of shape (n,) or (S, n), and the responsibilities
+    r_j(z) = w_j phi(z - mu_j) / f(z), of shape (J, n) or (J, S, n), by one
+    log-sum-exp over axis 0.
+    """
+    logs = np.log(weights)[..., None] - 0.5 * (z - means[..., None]) ** 2
+    top = logs.max(axis=0)
+    terms = np.exp(logs - top)
+    total = terms.sum(axis=0)
+    return top + np.log(total) - _LOG_SQRT_2PI, terms / total
+
+
 def _log_density(weights: np.ndarray, means: np.ndarray, z) -> np.ndarray:
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    logs = (np.log(weights)[None, :]
-            - 0.5 * (z[:, None] - means[None, :]) ** 2 - _LOG_SQRT_2PI)
-    return logsumexp(logs, axis=1)
+    return _posterior(weights, means, np.atleast_1d(np.asarray(z, dtype=float)))[0]
 
 
 def mixture_density(params, z: float) -> float:
@@ -145,9 +157,8 @@ def mixture_nll(params, sample) -> float:
 
 def _score(params, z: float) -> float:
     """d/dz of the negative log-density: sum_k r_k(z) (z - mu_k)."""
-    w, mu = params.weights_arr, params.means_arr
-    logs = np.log(w) - 0.5 * (z - mu) ** 2
-    r = np.exp(logs - logsumexp(logs))
+    mu = params.means_arr
+    r = _posterior(params.weights_arr, mu, z)[1][:, 0]
     return float(np.sum(r * (z - mu)))
 
 
@@ -214,9 +225,8 @@ def nll_objective(J: int) -> Objective:
         w = np.clip(t[:J], WEIGHT_FLOOR, None)
         w = w / w.sum()
         mu = t[J:]
-        logs = (np.log(w)[None, :] - 0.5 * (z[:, None] - mu[None, :]) ** 2)
-        r = np.exp(logs - logsumexp(logs, axis=1)[:, None])
-        return np.sum(r * (z[:, None] - mu[None, :]), axis=1)
+        r = _posterior(w, mu, z)[1]
+        return np.sum(r * (z - mu[:, None]), axis=0)
 
     dom = mixture_domain(J)
     return Objective(eval=fn, grad_z=gz,
@@ -225,7 +235,13 @@ def nll_objective(J: int) -> Objective:
 
 def _em_batch(z: np.ndarray, J: int, n_starts: int, seed: int,
               max_iter: int, tol: float):
-    """Run all EM starts simultaneously; returns (tau, mu, nll, n_iter)."""
+    """Run all EM starts in one component-major batch.
+
+    Start s stops once one step moves none of its weights and means by tol
+    or more; only the starts still moving are updated.  Returns (tau, mu,
+    nll, ok): (S, J) weights and increasing means, the (S,) NLL there, and
+    whether each start stopped within max_iter steps.
+    """
     n = len(z)
     rng = np.random.default_rng(np.random.SeedSequence(seed_key(seed, 0xE)))
     mu = z[rng.integers(0, n, size=(n_starts, J))]
@@ -233,31 +249,29 @@ def _em_batch(z: np.ndarray, J: int, n_starts: int, seed: int,
     tau = rng.dirichlet(np.ones(J), size=n_starts)
     tau = np.clip(tau, WEIGHT_FLOOR, None)
     tau /= tau.sum(axis=1, keepdims=True)
-    Z = z[None, :, None]
-    prev = np.full(n_starts, np.inf)
-    it = 0
-    for it in range(max_iter):
-        logw = (np.log(tau)[:, None, :]
-                - 0.5 * (Z - mu[:, None, :]) ** 2 - _LOG_SQRT_2PI)
-        lse = logsumexp(logw, axis=2)
-        nll = -lse.sum(axis=1)
-        resp = np.exp(logw - lse[..., None])
-        tau = resp.mean(axis=1)
-        tau = np.clip(tau, WEIGHT_FLOOR, None)
-        tau /= tau.sum(axis=1, keepdims=True)
-        mass = resp.sum(axis=1)
-        mu = (resp * Z).sum(axis=1) / np.maximum(mass, 1e-300)
-        idx = np.argsort(mu, axis=1, kind="stable")
-        mu = np.take_along_axis(mu, idx, axis=1)
-        tau = np.take_along_axis(tau, idx, axis=1)
-        improvement = prev - nll
-        prev = nll
-        if np.all(np.abs(improvement) < tol):
+    w, m = tau.T.copy(), mu.T.copy()
+    ok = np.zeros(n_starts, dtype=bool)
+    active = np.arange(n_starts)
+    for _ in range(max_iter):
+        w_a, m_a = w[:, active], m[:, active]
+        resp = _posterior(w_a, m_a, z)[1]
+        mass = resp.sum(axis=2)
+        w_new = np.clip(mass / n, WEIGHT_FLOOR, None)
+        w_new /= w_new.sum(axis=0)
+        m_new = (resp @ z) / np.maximum(mass, 1e-300)
+        idx = np.argsort(m_new, axis=0, kind="stable")
+        m_new = np.take_along_axis(m_new, idx, axis=0)
+        w_new = np.take_along_axis(w_new, idx, axis=0)
+        step = np.maximum(np.abs(w_new - w_a).max(axis=0),
+                          np.abs(m_new - m_a).max(axis=0))
+        w[:, active], m[:, active] = w_new, m_new
+        done = step < tol
+        ok[active[done]] = True
+        active = active[~done]
+        if not active.size:
             break
-    logw = (np.log(tau)[:, None, :]
-            - 0.5 * (Z - mu[:, None, :]) ** 2 - _LOG_SQRT_2PI)
-    nll = -logsumexp(logw, axis=2).sum(axis=1)
-    return tau, mu, nll, it + 1
+    nll = -_posterior(w, m, z)[0].sum(axis=1)
+    return w.T, m.T, nll, ok
 
 
 def fit_mle(sample: MixtureSample, J: int,
@@ -265,9 +279,14 @@ def fit_mle(sample: MixtureSample, J: int,
             force: bool = False) -> ArgminReport:
     """Multistart EM over the ordered chart, clustered into an ArgminReport.
 
-    Cluster representatives are flattened (weights, means) vectors; decode
-    with params_from_point.  Requires J <= sqrt(n) unless ``force`` (the
-    uniqueness guarantee is only established under that condition).
+    Each of cfg.n_starts EM runs stops once one step changes its weights
+    and means by less than cfg.local_tol; a run still moving after
+    cfg.max_iters steps counts as failed.  Converged runs are clustered
+    (every finite run when none converged), and ``converged_fraction`` is
+    the share of converged runs.  Cluster representatives are flattened
+    (weights, means) vectors; decode with params_from_point.  Requires
+    J <= sqrt(n) unless ``force`` (the uniqueness guarantee is only
+    established under that condition).
     """
     if J < 1:
         raise ValueError("J must be positive")
@@ -278,19 +297,16 @@ def fit_mle(sample: MixtureSample, J: int,
                 "pass force=True to search anyway")
         logger.warning("fitting with J=%d > sqrt(n=%d): uniqueness is not "
                        "guaranteed in this regime", J, sample.n)
-    z = sample.z_arr
-    tau, mu, nll, _ = _em_batch(z, J, n_starts=cfg.n_starts, seed=cfg.seed,
-                                max_iter=max(cfg.max_iters, 200),
-                                tol=cfg.local_tol)
+    tau, mu, nll, ok = _em_batch(sample.z_arr, J, n_starts=cfg.n_starts,
+                                 seed=cfg.seed, max_iter=cfg.max_iters,
+                                 tol=cfg.local_tol)
     # map into the ordered chart: sorted already; enforce the mean gap
     for j in range(1, J):
         lag = mu[:, j] - mu[:, j - 1]
         mu[:, j] = np.where(lag < MEAN_GAP, mu[:, j - 1] + MEAN_GAP, mu[:, j])
-    finite = np.isfinite(nll)
-    frac = float(finite.mean())
-    points = [(np.concatenate([tau[s], mu[s]]), float(nll[s]))
-              for s in range(len(nll)) if finite[s]]
-    return build_report(points, frac, mixture_domain(J).diameter(), cfg)
+    results = [(np.concatenate([tau[s], mu[s]]), float(nll[s]), bool(ok[s]))
+               for s in range(len(nll))]
+    return report_descents(results, mixture_domain(J).diameter(), cfg)
 
 
 @dataclass(frozen=True)

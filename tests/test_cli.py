@@ -200,12 +200,23 @@ def test_config_hash_tracks_tolerances(tmp_path):
     ["mixture", "--weights", "0.5,0.6"],
     ["generic-check", "--resolution", "1"],
     ["penalized", "--n", "3", "--d", "5"],
+    ["penalized", "--d", "-1"],
+    ["penalized", "--n", "-3"],
+    ["mixture", "--data", "{tmp}/missing.csv"],
+    ["penalized", "--data", "{tmp}/missing.csv"],
+    ["mixture", "--data", "{tmp}/repeated.csv"],
+    ["mixture", "--data", "{tmp}/empty.csv"],
 ], ids=["penalized-lam", "penalized-q", "threshold-grid", "mixture-components",
         "weakid-grid", "threshold-paths-0", "penalized-d-0", "weakid-pi-bound",
         "threshold-paths-negative", "threshold-eps-increasing",
         "mixture-starts", "mixture-n", "mixture-weights",
-        "generic-check-resolution", "penalized-n-below-d"])
+        "generic-check-resolution", "penalized-n-below-d", "penalized-d-negative",
+        "penalized-n-negative", "mixture-data-missing", "penalized-data-missing",
+        "mixture-data-repeated", "mixture-data-empty"])
 def test_invalid_settings_exit_2_without_outputs(tmp_path, args, capsys):
+    (tmp_path / "repeated.csv").write_text("z\n0.5\n1.5\n0.5\n")
+    (tmp_path / "empty.csv").write_text("z\n")
+    args = [a.replace("{tmp}", str(tmp_path)) for a in args]
     out = tmp_path / "bad"
     assert run(args + ["--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err

@@ -7,10 +7,11 @@ from argmin_unique import (MixtureParams, MixtureSample, MultistartConfig,
                            UnrestrictedParams, argmin_set_expand, fit_mle,
                            mixture_density, mixture_nll, score_gap,
                            score_gap_cleared)
+from argmin_unique.globalopt import seed_key
 from argmin_unique.mixture import (params_from_point, read_sample_csv,
                                    write_sample_csv)
 
-from oracles import mixture_nll_direct, phi
+from oracles import SQRT_2PI, mixture_nll_direct, phi
 
 
 def make_sample(rng, n=50, means=(-2.0, 2.0)):
@@ -245,6 +246,71 @@ def test_fit_rejects_too_many_components():
     # the documented override still runs
     report = fit_mle(s, 3, MultistartConfig(seed=0, n_starts=4), force=True)
     assert report.verdict in ("unique", "multiple", "inconclusive")
+
+
+def draw_mixture(seed, weights, means, n):
+    rng = np.random.default_rng(seed)
+    comp = rng.choice(len(weights), size=n, p=weights)
+    return np.asarray(means)[comp] + rng.standard_normal(n)
+
+
+def reference_em(z, J, cfg):
+    """One EM run per start from the E- and M-step formulas.
+
+    Starts come from the seed_key(seed, 0xE) stream as in fit_mle.  A run
+    stops once a step moves no weight or mean by cfg.local_tol or more,
+    and fails after cfg.max_iters steps.  Returns (nll, means, ok) per run.
+    """
+    n = len(z)
+    rng = np.random.default_rng(np.random.SeedSequence(seed_key(cfg.seed, 0xE)))
+    mu0 = np.sort(z[rng.integers(0, n, size=(cfg.n_starts, J))], axis=1)
+    w0 = rng.dirichlet(np.ones(J), size=cfg.n_starts)
+    runs = []
+    for w, mu in zip(w0, mu0):
+        ok = False
+        for _ in range(cfg.max_iters):
+            dens = w * np.exp(-0.5 * (z[:, None] - mu) ** 2) / SQRT_2PI
+            r = dens / dens.sum(axis=1, keepdims=True)
+            w_new = r.mean(axis=0)
+            mu_new = (r * z[:, None]).sum(axis=0) / r.sum(axis=0)
+            order = np.argsort(mu_new)
+            w_new, mu_new = w_new[order], mu_new[order]
+            step = max(np.max(np.abs(w_new - w)), np.max(np.abs(mu_new - mu)))
+            w, mu = w_new, mu_new
+            if step < cfg.local_tol:
+                ok = True
+                break
+        runs.append((mixture_nll_direct(w, mu, z), mu, ok))
+    return runs
+
+
+def test_fit_capped_starts_count_as_failed():
+    z = draw_mixture(3, (0.3, 0.4, 0.3), (-3.0, 0.0, 3.0), 200)
+    report = fit_mle(MixtureSample(z=tuple(z)), 3,
+                     MultistartConfig(seed=0, n_starts=50, max_iters=3))
+    assert report.converged_fraction == 0.0
+    assert report.verdict == "inconclusive"
+
+
+@pytest.mark.parametrize("seed,weights,means,n", [
+    (124, (0.5, 0.5), (-1.2, 1.2), 50),
+    (3, (0.3, 0.4, 0.3), (-3.0, 0.0, 3.0), 200),
+], ids=["J2", "J3"])
+def test_fit_matches_per_start_reference_em(seed, weights, means, n):
+    J = len(weights)
+    z = draw_mixture(seed, weights, means, n)
+    # a cap that stops some starts short, so the converged share is tested
+    cfg = MultistartConfig(seed=4, n_starts=30, max_iters=75)
+    runs = reference_em(z, J, cfg)
+    report = fit_mle(MixtureSample(z=tuple(z)), J, cfg)
+    converged = [run for run in runs if run[2]]
+    assert 0 < len(converged) < len(runs)
+    assert report.converged_fraction == len(converged) / len(runs)
+    assert sum(c.hits for c in report.clusters) <= len(converged)
+    best_nll, best_means, _ = min(converged, key=lambda run: run[0])
+    assert abs(report.global_value - best_nll) <= 1e-9 * (1 + abs(best_nll))
+    got = params_from_point(report.clusters[0].representative, J).means
+    assert np.max(np.abs(np.asarray(got) - best_means)) <= 1e-6
 
 
 # --------------------------------------------------------------- argmin set
