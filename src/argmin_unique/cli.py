@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -40,9 +41,12 @@ FIGURE_CASES = (
 
 def _parse_floats(text: str) -> tuple:
     try:
-        return tuple(float(v) for v in text.split(","))
+        values = tuple(float(v) for v in text.split(","))
     except ValueError as exc:
         raise ConfigError(f"cannot parse float list {text!r}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"float list {text!r} has a non-finite entry")
+    return values
 
 
 def _validated(build, **kwargs):
@@ -215,17 +219,20 @@ def cmd_generic_check(args) -> int:
     }
     if args.model == "quadratic":
         base = QuadraticModel()
-        obj, domain = base.objective(), base.domain
-        z_region = box(-3.0, 3.0)
+        obj, domain, d_z = base.objective(), base.domain, base.dim
     elif args.model in ("example1", "example2"):
         model = _example_model(int(args.model[-1]), pi_bound=6.0)
-        obj, domain = model.objective(), model.pi_domain
-        z_region = box([-3.0] * model.d_z, [3.0] * model.d_z)
+        obj, domain, d_z = model.objective(), model.pi_domain, model.d_z
     else:
         raise ConfigError(f"unknown model {args.model!r}")
+    z_region = box([-3.0] * d_z, [3.0] * d_z)
     if args.resolution < 2:
         raise ConfigError("--resolution must be at least 2")
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
+        raise ConfigError("--tol must be finite and positive")
     z_points = [np.asarray(_parse_floats(args.z))] if args.z else None
+    if z_points and len(z_points[0]) != d_z:
+        raise ConfigError(f"z must have {d_z} components")
     report = scan_grid(obj, domain, z_region=z_region,
                        resolution=args.resolution, tol=args.tol,
                        z_points=z_points)

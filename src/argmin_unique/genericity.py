@@ -17,8 +17,7 @@ repaired.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -30,11 +29,20 @@ from .errors import NotDistinct
 CONDITION_ORDER = ("a", "b", "c", "d")
 
 
+def _require_distinct(t: np.ndarray, s: np.ndarray, min_separation: float) -> None:
+    if np.linalg.norm(t - s) <= min_separation:
+        raise NotDistinct(f"points {t} and {s} are within {min_separation}")
+
+
+def _require_tolerance(tol: Optional[float]) -> None:
+    if tol is not None and not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be None or finite and positive, got {tol}")
+
+
 def objective_gap(obj: Objective, t, s, z, min_separation: float = 1e-9) -> float:
     """Q(t, z) - Q(s, z); raises NotDistinct when t and s coincide."""
     t, s = as_vector(t), as_vector(s)
-    if np.linalg.norm(t - s) <= min_separation:
-        raise NotDistinct(f"points {t} and {s} are within {min_separation}")
+    _require_distinct(t, s, min_separation)
     return eval_objective(obj, t, z) - eval_objective(obj, s, z)
 
 
@@ -71,20 +79,59 @@ class GenericityVerdict:
         }
 
 
-def default_tolerance(obj: Objective, t, s, z) -> float:
-    """Scale-aware zero tolerance: 1e-6 * (1 + |Q(t,z)| + |Q(s,z)|)."""
-    return 1e-6 * (1.0 + abs(eval_objective(obj, t, z)) + abs(eval_objective(obj, s, z)))
+def _point_terms(obj: Objective, points, zs, fd: FDConfig) -> tuple:
+    """Per-point quantities every margin is built from, for each (point, z).
 
-
-def _best_descent(obj: Objective, point, z, fd: FDConfig) -> float:
-    """max over admissible directions of the descent rate -dQ/dh (0 if none)."""
+    Returns Q (P, M), the best admissible descent rate -dQ/dh, 0 when no
+    direction descends (P, M), and grad_z (P, M, d_z).  Admissible
+    directions depend on the point only, so they are looked up once per
+    point and handed to ``directional_derivative_t`` through a copy of the
+    objective that returns them.
+    """
     if obj.admissible_directions is None:
         raise ValueError("objective must provide admissible_directions for t/s checks")
-    dirs = obj.admissible_directions(as_vector(point))
-    best = 0.0
-    for d in dirs:
-        best = max(best, -directional_derivative_t(obj, point, z, d, fd))
-    return best
+    q = np.empty((len(points), len(zs)))
+    rate = np.empty_like(q)
+    gz = []
+    for p, point in enumerate(points):
+        dirs = obj.admissible_directions(point)
+        fixed = replace(obj, admissible_directions=lambda _t, dirs=dirs: dirs)
+        for m, z in enumerate(zs):
+            q[p, m] = eval_objective(obj, point, z)
+            rate[p, m] = max([0.0] + [-directional_derivative_t(fixed, point, z, d, fd)
+                                      for d in dirs])
+            gz.append(grad_z(obj, point, z, fd))
+    return q, rate, np.reshape(gz, (len(points), len(zs), -1))
+
+
+def _margins(q, rate, gz, i, j, tol: Optional[float]) -> tuple:
+    """Margins a-d and the tolerance of the pairs (i[k], j[k]) at every z.
+
+    Each margin is a (K, M) array.  The default tolerance is
+    1e-6 * (1 + |Q(t,z)| + |Q(s,z)|), scale-aware.
+    """
+    margins = {
+        "a": np.abs(q[i] - q[j]),
+        "b": rate[i],
+        "c": rate[j],
+        "d": np.max(np.abs(gz[i] - gz[j]), axis=-1),
+    }
+    if tol is None:
+        tol = 1e-6 * (1.0 + np.abs(q[i]) + np.abs(q[j]))
+    return margins, np.broadcast_to(tol, margins["a"].shape)
+
+
+def _verdict(t, s, z, margins: dict, tol: float) -> GenericityVerdict:
+    """Classify by the first condition (a)-(d) whose margin exceeds tol."""
+    cond = next((c for c in CONDITION_ORDER if margins[c] > tol), "degenerate")
+    margin = max(margins.values()) if cond == "degenerate" else margins[cond]
+    return GenericityVerdict(t=tuple(t), s=tuple(s), z=tuple(z), condition=cond,
+                             margin=margin, tolerance=tol, margins=margins)
+
+
+def _triple(margins: dict, tols, k: int, m: int) -> tuple:
+    """Scalar margins and tolerance of pair k at z index m."""
+    return {c: float(v[k, m]) for c, v in margins.items()}, float(tols[k, m])
 
 
 def check_triple(obj: Objective, t, s, z, tol: Optional[float] = None,
@@ -93,27 +140,14 @@ def check_triple(obj: Objective, t, s, z, tol: Optional[float] = None,
     """Classify a triple by the first condition (a)-(d) that holds.
 
     All four margins are computed and attached to the verdict so that
-    degenerate reports carry the full evidence.
+    degenerate reports carry the full evidence.  This is the two-point
+    case of ``scan_grid``.
     """
     t, s, z = as_vector(t), as_vector(s), as_vector(z)
-    gap = objective_gap(obj, t, s, z, min_separation)
-    if tol is None:
-        tol = default_tolerance(obj, t, s, z)
-    margins = {
-        "a": abs(gap),
-        "b": _best_descent(obj, t, z, fd),
-        "c": _best_descent(obj, s, z, fd),
-        "d": float(np.max(np.abs(grad_z(obj, t, z, fd) - grad_z(obj, s, z, fd)))),
-    }
-    for cond in CONDITION_ORDER:
-        if margins[cond] > tol:
-            return GenericityVerdict(t=tuple(t), s=tuple(s), z=tuple(z),
-                                     condition=cond, margin=margins[cond],
-                                     tolerance=tol, margins=margins)
-    return GenericityVerdict(t=tuple(t), s=tuple(s), z=tuple(z),
-                             condition="degenerate",
-                             margin=max(margins.values()),
-                             tolerance=tol, margins=margins)
+    _require_tolerance(tol)
+    _require_distinct(t, s, min_separation)
+    margins, tols = _margins(*_point_terms(obj, [t, s], [z], fd), [0], [1], tol)
+    return _verdict(t, s, z, *_triple(margins, tols, 0, 0))
 
 
 @dataclass(frozen=True)
@@ -151,8 +185,12 @@ def scan_grid(obj: Objective, domain: Domain, z_region: Optional[Box] = None,
     """Check every (t, s, z) grid triple with t, s in distinct cells.
 
     Explicit ``t_points`` / ``z_points`` override the uniform meshes, which
-    is how known tie candidates are routed through the scan.
+    is how known tie candidates are routed through the scan.  Cost: Q, the
+    descent rates and grad_z once per (point, z) for the P points that are
+    in some pair and the M z points, then array work over pairs and z;
+    verdicts are built only for degenerate triples.
     """
+    _require_tolerance(tol)
     if resolution < 2:
         raise ValueError("resolution must be at least 2 per axis")
     if t_points is not None:
@@ -169,20 +207,21 @@ def scan_grid(obj: Objective, domain: Domain, z_region: Optional[Box] = None,
         spans = np.concatenate([np.asarray(p.upper) - np.asarray(p.lower)
                                 for p in domain.pieces])
         min_separation = 0.5 * float(spans.min()) / max(resolution - 1, 1)
-    total = 0
+    i, j = np.triu_indices(len(tp), 1)
+    keep = ~(np.linalg.norm(tp[i] - tp[j], axis=-1) <= min_separation)
+    i, j = i[keep], j[keep]
     degenerate = []
-    for i, j in itertools.combinations(range(len(tp)), 2):
-        t, s = tp[i], tp[j]
-        if np.linalg.norm(t - s) <= min_separation:
-            continue
-        for z in zp:
-            total += 1
-            verdict = check_triple(obj, t, s, z, tol=tol, fd=fd,
-                                   min_separation=min_separation)
-            if verdict.degenerate:
-                degenerate.append(verdict)
+    used = np.unique(np.concatenate([i, j]))
+    if len(used):
+        terms = _point_terms(obj, tp[used], zp, fd)
+        margins, tols = _margins(*terms, np.searchsorted(used, i),
+                                 np.searchsorted(used, j), tol)
+        flagged = np.logical_or.reduce([margins[c] > tols for c in CONDITION_ORDER])
+        for k, m in np.argwhere(~flagged):
+            degenerate.append(_verdict(tp[i[k]], tp[j[k]], zp[m],
+                                       *_triple(margins, tols, k, m)))
     degenerate.sort(key=lambda v: (v.t, v.s, v.z))
     spec = (f"t-points={len(tp)}, z-points={len(zp)}, resolution={resolution}, "
             f"min_separation={min_separation:.3g}")
-    return ScanReport(grid_spec=spec, total_triples=total,
+    return ScanReport(grid_spec=spec, total_triples=len(i) * len(zp),
                       degenerate=tuple(degenerate))

@@ -78,6 +78,22 @@ class ArgminReport:
         }
 
 
+def _components(linked: np.ndarray) -> np.ndarray:
+    """Connected-component labels of a symmetric (n, n) boolean link matrix.
+
+    Each node is labelled with the smallest index in its component.  Every
+    round gives each node the smallest label among itself and its linked
+    neighbours, then replaces each label by that label's own new label, so
+    a chain of length L settles in O(log L) rounds.
+    """
+    labels = np.arange(len(linked))
+    while True:
+        low = np.where(linked, labels, labels[:, None]).min(axis=1)
+        if np.array_equal(low, labels):
+            return labels
+        labels = low[low]
+
+
 def cluster_minimizers(points: Sequence, eps_value: float,
                        delta_cluster: float) -> list:
     """Single-linkage clusters of the points within eps_value of the best.
@@ -90,26 +106,17 @@ def cluster_minimizers(points: Sequence, eps_value: float,
     pts = [(as_vector(t), float(v)) for t, v in points]
     best = min(v for _, v in pts)
     near = [(t, v) for t, v in pts if v <= best + eps_value]
-    n = len(near)
-    coords = np.asarray([t for t, _ in near])
-    # union-find over the delta_cluster graph
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if np.linalg.norm(coords[i] - coords[j]) <= delta_cluster:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
+    if not near:  # a NaN best value keeps no point
+        return []
+    # squared distances summed one coordinate at a time: memory stays at
+    # a few (n, n) arrays whatever the dimension
+    sq = np.zeros((len(near), len(near)))
+    for x in np.asarray([t for t, _ in near]).T:
+        sq += (x[:, None] - x[None, :]) ** 2
+    linked = np.sqrt(sq) <= delta_cluster
     groups: dict = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
+    for i, label in enumerate(_components(linked).tolist()):
+        groups.setdefault(label, []).append(i)
     clusters = []
     for members in groups.values():
         rep_i = min(members, key=lambda i: (near[i][1], tuple(near[i][0])))

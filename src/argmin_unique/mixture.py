@@ -50,6 +50,8 @@ class MixtureParams:
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
         object.__setattr__(self, "means", tuple(float(m) for m in self.means))
+        if not np.all(np.isfinite(self.weights + self.means)):
+            raise ValueError("weights and means must be finite")
         _check_weights(self.weights)
         if len(self.means) != len(self.weights):
             raise ValueError("weights and means must have equal length")
@@ -111,6 +113,8 @@ class MixtureSample:
         object.__setattr__(self, "z", tuple(float(v) for v in self.z))
         if len(self.z) < 1:
             raise ValueError("sample must be nonempty")
+        if not np.all(np.isfinite(self.z)):
+            raise ValueError("observations must be finite")
         srt = np.sort(np.asarray(self.z))
         if np.any(np.diff(srt) == 0.0):
             raise ValueError("observations must be pairwise distinct")

@@ -194,3 +194,122 @@ def permutation_set(weights, means):
     for perm in itertools.permutations(range(len(weights))):
         out.add((tuple(weights[i] for i in perm), tuple(means[i] for i in perm)))
     return out
+
+
+def _mesh(boxes, resolution: int):
+    pts = []
+    for b in boxes:
+        axes = [np.linspace(lo, hi, resolution) for lo, hi in zip(b.lower, b.upper)]
+        grid = np.meshgrid(*axes, indexing="ij")
+        cand = np.stack([g.ravel() for g in grid], axis=1)
+        pts.extend(p for p in cand if b.contains(p, slack=1e-9))
+    return np.asarray(pts)
+
+
+def triple_reference(obj, t, s, z, tol=None, fd=None) -> dict:
+    """Margins and tolerance of one (t, s, z) triple, from scratch.
+
+    Uses the ``domain`` helpers: a = |Q(t,z) - Q(s,z)|, b / c = best
+    admissible descent rate -dQ/dh at t / s (0 if none), d = max
+    |grad_z Q(t,z) - grad_z Q(s,z)|; tol defaults to
+    1e-6 (1 + |Q(t,z)| + |Q(s,z)|).
+    """
+    from argmin_unique.domain import (FD_DEFAULT, directional_derivative_t,
+                                      eval_objective, grad_z)
+
+    fd = FD_DEFAULT if fd is None else fd
+
+    def descent(point):
+        best = 0.0
+        for d in obj.admissible_directions(point):
+            best = max(best, -directional_derivative_t(obj, point, z, d, fd))
+        return best
+
+    qt, qs = eval_objective(obj, t, z), eval_objective(obj, s, z)
+    margins = {
+        "a": abs(qt - qs),
+        "b": descent(t),
+        "c": descent(s),
+        "d": float(np.max(np.abs(grad_z(obj, t, z, fd) - grad_z(obj, s, z, fd)))),
+    }
+    return {"margins": margins,
+            "tolerance": tol if tol is not None else 1e-6 * (1.0 + abs(qt) + abs(qs))}
+
+
+def scan_reference(obj, domain, z_region=None, resolution: int = 11, tol=None,
+                   t_points=None, z_points=None, fd=None,
+                   min_separation=None) -> dict:
+    """Nondegeneracy scan as a plain loop over (t, s, z) triples.
+
+    Each triple gets its margins from ``triple_reference``; it is
+    degenerate when no margin exceeds its tolerance.  Returns the scan
+    report's dict.
+    """
+    from argmin_unique.domain import as_vector
+
+    tp = (np.asarray([as_vector(p) for p in t_points]) if t_points is not None
+          else _mesh(domain.pieces, resolution))
+    zp = (np.asarray([as_vector(p) for p in z_points]) if z_points is not None
+          else _mesh([z_region], resolution))
+    if min_separation is None:
+        spans = np.concatenate([np.asarray(p.upper) - np.asarray(p.lower)
+                                for p in domain.pieces])
+        min_separation = 0.5 * float(spans.min()) / max(resolution - 1, 1)
+    total, degenerate = 0, []
+    for i in range(len(tp)):
+        for j in range(i + 1, len(tp)):
+            t, s = tp[i], tp[j]
+            if np.linalg.norm(t - s) <= min_separation:
+                continue
+            for z in zp:
+                total += 1
+                ref = triple_reference(obj, t, s, z, tol, fd)
+                margins = ref["margins"]
+                if any(m > ref["tolerance"] for m in margins.values()):
+                    continue
+                degenerate.append({
+                    "t": list(t), "s": list(s), "z": list(z),
+                    "condition": "degenerate",
+                    "margin": max(margins.values()), **ref,
+                })
+    degenerate.sort(key=lambda v: (v["t"], v["s"], v["z"]))
+    spec = (f"t-points={len(tp)}, z-points={len(zp)}, resolution={resolution}, "
+            f"min_separation={min_separation:.3g}")
+    return {"grid_spec": spec, "total_triples": total, "degenerate": degenerate}
+
+
+def single_linkage_reference(points, eps_value: float, delta_cluster: float):
+    """Single-linkage clusters by union-find over every pair of points.
+
+    Keeps the points within eps_value of the best value, links pairs at
+    Euclidean distance <= delta_cluster, and returns one dict per cluster:
+    its lowest (value, coordinates) member as representative, and its size,
+    sorted by (value, representative).
+    """
+    pts = [(np.atleast_1d(np.asarray(t, dtype=float)), float(v)) for t, v in points]
+    best = min(v for _, v in pts)
+    near = [(t, v) for t, v in pts if v <= best + eps_value]
+    parent = list(range(len(near)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(len(near)):
+        for j in range(i + 1, len(near)):
+            if np.linalg.norm(near[i][0] - near[j][0]) <= delta_cluster:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[max(ri, rj)] = min(ri, rj)
+    groups = {}
+    for i in range(len(near)):
+        groups.setdefault(find(i), []).append(i)
+    clusters = []
+    for members in groups.values():
+        rep = min(members, key=lambda i: (near[i][1], tuple(near[i][0])))
+        clusters.append({"representative": list(near[rep][0]),
+                         "value": near[rep][1], "hits": len(members)})
+    clusters.sort(key=lambda c: (c["value"], c["representative"]))
+    return clusters

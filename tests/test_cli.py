@@ -206,16 +206,27 @@ def test_config_hash_tracks_tolerances(tmp_path):
     ["penalized", "--data", "{tmp}/missing.csv"],
     ["mixture", "--data", "{tmp}/repeated.csv"],
     ["mixture", "--data", "{tmp}/empty.csv"],
+    ["mixture", "--data", "{tmp}/nan.csv"],
+    ["weakid", "--example", "1", "--z=1,nan,2"],
+    ["generic-check", "--model", "quadratic", "--z=inf"],
+    ["generic-check", "--tol=-1"],
+    ["generic-check", "--resolution", "3", "--tol", "nan"],
+    ["generic-check", "--model", "example1", "--z=1,2"],
+    ["generic-check", "--model", "quadratic", "--z=1,2"],
 ], ids=["penalized-lam", "penalized-q", "threshold-grid", "mixture-components",
         "weakid-grid", "threshold-paths-0", "penalized-d-0", "weakid-pi-bound",
         "threshold-paths-negative", "threshold-eps-increasing",
         "mixture-starts", "mixture-n", "mixture-weights",
         "generic-check-resolution", "penalized-n-below-d", "penalized-d-negative",
         "penalized-n-negative", "mixture-data-missing", "penalized-data-missing",
-        "mixture-data-repeated", "mixture-data-empty"])
+        "mixture-data-repeated", "mixture-data-empty", "mixture-data-nan",
+        "weakid-z-nan", "generic-check-z-inf", "generic-check-tol-negative",
+        "generic-check-tol-nan", "generic-check-example1-z-length",
+        "generic-check-quadratic-z-length"])
 def test_invalid_settings_exit_2_without_outputs(tmp_path, args, capsys):
     (tmp_path / "repeated.csv").write_text("z\n0.5\n1.5\n0.5\n")
     (tmp_path / "empty.csv").write_text("z\n")
+    (tmp_path / "nan.csv").write_text("z\n0.5\nnan\n1.5\n")
     args = [a.replace("{tmp}", str(tmp_path)) for a in args]
     out = tmp_path / "bad"
     assert run(args + ["--out", str(out)]) == 2

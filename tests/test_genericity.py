@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,9 @@ from argmin_unique import (NotDistinct, Objective, box, check_triple,
                            scan_grid)
 from argmin_unique.baselines import QuadraticModel
 from argmin_unique.mixture import nll_objective
+from argmin_unique.serialize import canonical_json
 
-from oracles import ex1_roots, ex2_roots
+from oracles import ex1_roots, ex2_roots, scan_reference, triple_reference
 
 
 @pytest.fixture
@@ -158,3 +161,102 @@ def test_scan_report_serializes():
     data = report.to_dict()
     assert set(data) == {"grid_spec", "total_triples", "degenerate"}
     assert data["total_triples"] == 3 * 2 // 2 * 3
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf])
+def test_tolerance_must_be_finite_and_positive(quad, quad_domain, tol):
+    with pytest.raises(ValueError):
+        scan_grid(quad, quad_domain, z_region=box(-3.0, 3.0), resolution=3,
+                  tol=tol)
+    with pytest.raises(ValueError):
+        check_triple(quad, 0.0, 2.0, 1.0, tol=tol)
+
+
+def _ex_scan(model, tol=None):
+    return (model.objective(), model.pi_domain), {
+        "z_region": box([-3.0] * model.d_z, [3.0] * model.d_z),
+        "resolution": 3, "tol": tol}
+
+
+def _scan_cases():
+    fig1_z = np.array([-1.03, 1.29, 2.77])
+    fig2_z = np.array([-0.23, -0.28, 1.31])
+    quad, quad2 = QuadraticModel(), QuadraticModel(dim=2)
+    ex1, ex2 = make_example1(pi_bound=6.0), make_example2(pi_bound=6.0)
+    return {
+        "quadratic-1d": ((quad.objective(), quad.domain),
+                         {"z_region": box(-3.0, 3.0), "resolution": 11}),
+        "quadratic-2d": ((quad2.objective(), quad2.domain),
+                         {"z_region": box([-3.0] * 2, [3.0] * 2),
+                          "resolution": 4}),
+        "example1-cube": _ex_scan(ex1),
+        "example2-cube": _ex_scan(ex2),
+        "example1-cube-tol": _ex_scan(ex1, tol=1e-2),
+        "example2-cube-tol": _ex_scan(ex2, tol=1e-2),
+        "example1-roots": ((make_example1().objective(),
+                            make_example1().pi_domain),
+                           {"t_points": [[r] for r in ex1_roots(fig1_z)]
+                            + [[0.5], [-3.0]], "z_points": [fig1_z]}),
+        "example2-roots": ((make_example2().objective(),
+                            make_example2().pi_domain),
+                           {"t_points": [[r] for r in ex2_roots(fig2_z)]
+                            + [[1.5]], "z_points": [fig2_z]}),
+    }
+
+
+@pytest.mark.parametrize("case", list(_scan_cases()))
+def test_scan_matches_per_triple_reference(case):
+    args, kwargs = _scan_cases()[case]
+    got = canonical_json(scan_grid(*args, **kwargs).to_dict())
+    assert got == canonical_json(scan_reference(*args, **kwargs))
+
+
+def test_check_triple_margins_match_reference():
+    # example 1 values take both signs, and most triples are not degenerate
+    model = make_example1(pi_bound=6.0)
+    obj = model.objective()
+    rng = np.random.default_rng(11)
+    for _ in range(30):
+        t, s = rng.uniform(-6.0, 6.0, size=(2, 1))
+        z = rng.standard_normal(3)
+        verdict = check_triple(obj, t, s, z)
+        ref = triple_reference(obj, t, s, z)
+        assert verdict.margins == ref["margins"]
+        assert verdict.tolerance == ref["tolerance"]
+
+
+def test_scan_cube_flags_flat_profiles():
+    # the reference comparison above is not vacuous: Q(., z) is flat in pi
+    # at z = 0 for example 1 (3 pairs) and wherever z1 = z2 = 0 for
+    # example 2 (3 pairs x 3 values of z3)
+    for model, want in ((make_example1(pi_bound=6.0), 3),
+                        (make_example2(pi_bound=6.0), 9)):
+        args, kwargs = _ex_scan(model)
+        report = scan_grid(*args, **kwargs)
+        assert len(report.degenerate) == want
+        assert all(v.z[:2] == (0.0, 0.0) for v in report.degenerate)
+
+
+def _counting(obj):
+    calls = [0]
+
+    def counted(t, z):
+        calls[0] += 1
+        return obj.eval(t, z)
+
+    return dataclasses.replace(obj, eval=counted), calls
+
+
+def test_scan_evaluates_each_point_and_z_once():
+    # Q once per (point, z) plus the finite-difference descent stencils:
+    # 11 points x 11 z for the quadratic (analytic t-gradient); for
+    # example 1 at one z, 11 values, 4 evaluations at each of 9 interior
+    # points and 3 at each end
+    quad = QuadraticModel()
+    obj, calls = _counting(quad.objective())
+    scan_grid(obj, quad.domain, z_region=box(-3.0, 3.0), resolution=11)
+    assert calls[0] <= 121
+    ex1 = make_example1(pi_bound=6.0)
+    obj, calls = _counting(ex1.objective())
+    scan_grid(obj, ex1.pi_domain, z_points=[[0.3, -1.2, 0.7]])
+    assert calls[0] <= 53

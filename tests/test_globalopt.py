@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from argmin_unique import (MultistartConfig, Objective, box, cluster_minimizers,
+from argmin_unique import (MixtureSample, MultistartConfig, Objective, box,
+                           cluster_minimizers, fit_mle, globalopt,
                            interval_domain, make_example1, make_example2,
                            multiplicity_probability, multistart_minimize,
                            sublevel_components, value_function)
@@ -9,7 +10,7 @@ from argmin_unique.baselines import QuadraticModel
 from argmin_unique.globalopt import build_report, lbfgsb_descend
 from argmin_unique.serialize import canonical_json
 
-from oracles import ex1_roots, ex2_roots
+from oracles import ex1_roots, ex2_roots, single_linkage_reference
 
 
 # ----------------------------------------------------------------- clusters
@@ -35,6 +36,43 @@ def test_cluster_drops_values_above_band():
     pts = [([0.0], 0.0), ([5.0], 1.0)]
     clusters = cluster_minimizers(pts, eps_value=1e-6, delta_cluster=0.01)
     assert len(clusters) == 1
+
+
+def _cluster_dicts(points, eps, delta):
+    return [c.to_dict() for c in cluster_minimizers(points, eps, delta)]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_cluster_matches_union_find_reference(seed):
+    # clouds of 1-80 points in 1-3 dims: chains along a line, exact
+    # duplicates, and values on a coarse grid so that representatives tie
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(1, 81)), int(rng.integers(1, 4))
+    pts = rng.normal(size=(n, d)) * rng.uniform(0.01, 1.0)
+    pts[: n // 3] = np.outer(np.arange(n // 3) * 0.009, np.ones(d))
+    pts[rng.integers(0, n, n // 4)] = pts[rng.integers(0, n, n // 4)]
+    values = np.round(rng.uniform(0.0, 2e-6, n), 7)
+    points = list(zip(pts, values))
+    delta = 0.05 * rng.uniform()
+    assert _cluster_dicts(points, 1e-6, delta) == \
+        single_linkage_reference(points, 1e-6, delta)
+
+
+def test_cluster_mixture_tie_sample_matches_reference(monkeypatch):
+    # J = 2 fit to one N(0, 1) sample: a chained set of tied fits
+    seen = []
+    real = globalopt.cluster_minimizers
+
+    def recording(points, eps, delta):
+        seen.append((points, eps, delta))
+        return real(points, eps, delta)
+
+    monkeypatch.setattr(globalopt, "cluster_minimizers", recording)
+    sample = MixtureSample(z=tuple(np.random.default_rng(1).standard_normal(50)))
+    report = fit_mle(sample, 2, MultistartConfig(n_starts=100, seed=0))
+    assert len(seen) == 1 and report.n_clusters == 14
+    assert [c.to_dict() for c in report.clusters] == \
+        single_linkage_reference(*seen[0])
 
 
 def test_build_report_tolerances_and_verdicts():

@@ -37,6 +37,18 @@ def test_sample_requires_distinct_observations():
         MixtureSample(z=(1.0, 1.0, 2.0))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_params_and_sample_reject_non_finite_values(bad):
+    # a NaN mean passed the increasing-means test, and sampling from it
+    # never ended: np.unique merges NaNs, so the sample stayed short of n
+    with pytest.raises(ValueError):
+        MixtureParams(weights=(0.5, 0.5), means=(0.0, bad))
+    with pytest.raises(ValueError):
+        MixtureParams(weights=(0.5, bad), means=(0.0, 1.0))
+    with pytest.raises(ValueError):
+        MixtureSample(z=(0.5, bad, 1.5))
+
+
 # ----------------------------------------------------------------- density
 
 def test_density_single_standard_component():
