@@ -108,7 +108,7 @@ def cmd_weakid(args) -> int:
         report = model.detect(z, cfg)
         pis = np.linspace(-args.pi_bound, args.pi_bound, args.grid)
         write_csv(f"{args.out}.profile.csv", ["pi", "Q"],
-                  zip(pis, profile(model, pis, z)), comments=[KAPPA_NOTE])
+                  (pis, profile(model, pis, z)), comments=[KAPPA_NOTE])
         payload = {"argmin": report.to_dict(), "kappa_note": KAPPA_NOTE}
     else:
         estimate = multiplicity_probability(model, args.draws, seed=args.seed,
@@ -250,7 +250,7 @@ def cmd_reproduce_figures(args) -> int:
     for name, number, z in FIGURE_CASES:
         model = _example_model(number, pi_bound=6.0)
         q = profile(model, pis, np.asarray(z))
-        write_csv(outdir / f"{name}.csv", ["pi", "Q"], zip(pis, q),
+        write_csv(outdir / f"{name}.csv", ["pi", "Q"], (pis, q),
                   comments=[KAPPA_NOTE, f"z={','.join(str(v) for v in z)}"])
     return 0
 

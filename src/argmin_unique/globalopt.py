@@ -22,7 +22,8 @@ class MultistartConfig:
     """Settings for the multistart detector.
 
     ``eps_value`` / ``delta_cluster`` default to scale-aware values
-    (1e-6 * (1 + |best|) and 1e-3 * domain diameter) when None.
+    (1e-6 * (1 + |best|) and 1e-3 * domain diameter) when None; a value
+    given must be finite and positive.
     """
 
     n_starts: int = 200
@@ -35,6 +36,10 @@ class MultistartConfig:
     def __post_init__(self):
         if self.n_starts < 1:
             raise ValueError("n_starts must be at least 1")
+        for name in ("eps_value", "delta_cluster"):
+            value = getattr(self, name)
+            if value is not None and not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive")
 
 
 DEFAULT_CONFIG = MultistartConfig()
@@ -132,8 +137,9 @@ def build_report(points: Sequence, converged_fraction: float, diameter: float,
 
     Tolerances come from cfg, else 1e-6 * (1 + |best|) for values and
     1e-3 * diameter for distances.  The verdict is "inconclusive" when
-    fewer than half of the local searches converged (or there are no
-    points), otherwise "unique" for a single cluster and "multiple" beyond.
+    fewer than half of the local searches converged or no cluster formed
+    (or there are no points), otherwise "unique" for a single cluster and
+    "multiple" beyond.
     """
     if not points:
         return ArgminReport(global_value=float("nan"), clusters=(),
@@ -144,7 +150,7 @@ def build_report(points: Sequence, converged_fraction: float, diameter: float,
     delta = (cfg.delta_cluster if cfg.delta_cluster is not None
              else 1e-3 * diameter)
     clusters = cluster_minimizers(points, eps, delta)
-    if converged_fraction < 0.5:
+    if converged_fraction < 0.5 or not clusters:
         verdict = "inconclusive"
     else:
         verdict = "unique" if len(clusters) == 1 else "multiple"
@@ -324,16 +330,20 @@ def value_function(obj: Objective, K: Box, z, grid: int = 1024,
 def sublevel_components(values, eps):
     """Number of maximal index runs with value <= min + eps along axis 0.
 
-    ``values`` is one 1-d grid (the count is an int) or a (G, k) block of
-    k grids as columns, with ``eps`` a scalar or one value per column (the
-    counts are a (k,) array).
+    ``values`` is one 1-d grid or a (G, k) block of k grids as columns.
+    ``eps`` is a scalar, one value per column, or an (m, k) stack of m
+    thresholds per column (m thresholds for a 1-d grid); the counts have
+    the shape of ``min + eps``, an int for one grid and one threshold.
+    The minimum and the finiteness check are computed once for the stack.
     """
-    v = np.asarray(values, dtype=float)
+    v = np.asarray(values, dtype=float).T  # the grid along the last axis
     if not np.all(np.isfinite(v)):
         raise ValueError("values must be finite")
-    mask = v <= v.min(axis=0) + eps
-    runs = mask[0] + np.sum(mask[1:] & ~mask[:-1], axis=0)
-    return int(runs) if v.ndim == 1 else runs
+    level = np.asarray(v.min(axis=-1) + eps)
+    mask = v <= level[..., None]
+    runs = mask[..., 0] + np.count_nonzero(mask[..., 1:] > mask[..., :-1],
+                                           axis=-1)
+    return int(runs) if runs.ndim == 0 else runs
 
 
 class ZModel(Protocol):

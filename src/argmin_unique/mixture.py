@@ -82,6 +82,8 @@ class UnrestrictedParams:
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
         object.__setattr__(self, "means", tuple(float(m) for m in self.means))
+        if not np.all(np.isfinite(self.weights + self.means)):
+            raise ValueError("weights and means must be finite")
         w = np.asarray(self.weights)
         if np.any(w <= 0):
             raise ValueError("weights must be positive")

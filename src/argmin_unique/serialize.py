@@ -7,7 +7,7 @@ Reports must be byte-identical across reruns, so floats are rendered with
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -52,14 +52,16 @@ def write_report(path, data: dict) -> None:
         handle.write("\n")
 
 
-def write_csv(path, header: Sequence[str], rows: Iterable[Sequence],
+def write_csv(path, header: Sequence[str], columns: Sequence,
               comments: Sequence[str] = ()) -> None:
-    """Plain 12-significant-digit CSV with optional leading comment lines."""
+    """12-significant-digit CSV of equal-length float columns, with optional
+    leading comment lines."""
+    cells = [[f"{v:.12g}" for v in np.asarray(c, dtype=float).tolist()]
+             for c in columns]
+    if len(cells) != len(header) or len({len(c) for c in cells}) > 1:
+        raise ValueError("need one equal-length column per header name")
+    lines = [f"# {line}" for line in comments]
+    lines.append(",".join(header))
+    lines.extend(map(",".join, zip(*cells)))
     with open(path, "w", newline="") as handle:
-        for line in comments:
-            handle.write(f"# {line}\n")
-        handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(
-                format(float(v), ".12g") if isinstance(v, (float, np.floating))
-                else str(v) for v in row) + "\n")
+        handle.write("\n".join(lines) + "\n")

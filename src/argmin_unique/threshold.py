@@ -52,8 +52,8 @@ class GPSpec:
     jitter: float = 1e-10
 
     def __post_init__(self):
-        if not self.m_bound > 0:
-            raise ValueError("m_bound must be positive")
+        if not (np.isfinite(self.m_bound) and self.m_bound > 0):
+            raise ValueError("m_bound must be finite and positive")
         if self.grid_size < 3 or self.grid_size % 2 == 0:
             raise ValueError("grid_size must be odd and at least 3 (0 on grid)")
         if not 0 < self.gamma < 1:
@@ -73,7 +73,9 @@ class GPSpec:
 def kernel_matrix(spec: GPSpec) -> np.ndarray:
     t = spec.grid
     K = np.asarray(spec.kernel(t[:, None], t[None, :]), dtype=float)
-    if not np.allclose(K, K.T, atol=1e-12):
+    # the exact test is a tenth of allclose's cost and settles every
+    # kernel that is symmetric in floating point
+    if not (np.array_equal(K, K.T) or np.allclose(K, K.T, atol=1e-12)):
         raise ValueError("kernel matrix is not symmetric")
     if K.min() <= 0:
         raise ValueError("kernel must be strictly positive on the grid")
@@ -92,10 +94,12 @@ class KernelFactor:
 def build_factor(spec: GPSpec) -> KernelFactor:
     """Factorize the kernel, escalating jitter x10 up to 3 times."""
     K = kernel_matrix(spec)
+    diag = K.diagonal().copy()
     jitter = spec.jitter
     for attempt in range(4):
+        np.fill_diagonal(K, diag + jitter)
         try:
-            L = np.linalg.cholesky(K + jitter * np.eye(len(K)))
+            L = np.linalg.cholesky(K)
             return KernelFactor(grid=spec.grid, L=L, jitter_used=jitter)
         except np.linalg.LinAlgError:
             jitter *= 10.0
@@ -131,33 +135,50 @@ def simulate_path(spec: GPSpec, seed: int,
 
     One path of shape (G,) when ``n_paths`` is None; otherwise a
     (G, n_paths) block whose column i draws xi from
-    ``default_rng(seed + i)``, so a block holds the same paths as separate
-    calls with seeds seed, seed + 1, ...  The block is one matrix product.
+    ``default_rng(seed + i)``.  The block is one matrix product, so its
+    columns agree with separate calls with seeds seed, seed + 1, ... to
+    rounding (a one-column product takes another BLAS kernel), not bit for
+    bit.  Each path's normals fill one contiguous row of a (k, G) buffer.
     """
     if factor is None:
         factor = build_factor(spec)
-    k = 1 if n_paths is None else n_paths
-    xi = np.empty((spec.grid_size, k))
-    for i in range(k):
-        xi[:, i] = np.random.default_rng(seed + i).standard_normal(spec.grid_size)
-    w = np.asarray(spec.drift(spec.grid), dtype=float)[:, None] + factor.L @ xi
+    xi = np.empty((1 if n_paths is None else n_paths, spec.grid_size))
+    for i, row in enumerate(xi):
+        np.random.default_rng(seed + i).standard_normal(out=row)
+    # the product takes a C-ordered (G, k) copy: L @ xi.T would call
+    # another BLAS kernel, whose bits differ for some grid sizes and widths
+    w = factor.L @ np.ascontiguousarray(xi.T)
+    w += np.asarray(spec.drift(spec.grid), dtype=float)[:, None]
     return GPPath(t_grid=spec.grid, values=w[:, 0] if n_paths is None else w)
 
 
 def objective_profile(spec: GPSpec, path: GPPath) -> np.ndarray:
     """Q(t_k) for every grid node, by signed cumulative trapezoid from 0.
 
-    Works along axis 0, so a (G, k) block gives the k profiles as columns.
+    A (G, k) block gives the k profiles as columns.  The work runs along
+    the contiguous last axis of a path-major (k, G) buffer, in place, and
+    the block's result is the (G, k) transposed view of that buffer.
     """
     t = path.t_grid
-    F = ndtr(path.values)  # standard normal cdf
-    shape = (-1,) + (1,) * (F.ndim - 1)
-    incr = 0.5 * (F[1:] + F[:-1]) * np.diff(t).reshape(shape)
+    W = path.values.T
+    F = ndtr(W, out=np.empty(W.shape))  # standard normal cdf
+    Q = np.empty_like(F)
     i0 = spec.zero_index
-    Q = np.zeros_like(F)
-    Q[i0 + 1:] = np.cumsum(incr[i0:], axis=0)
-    Q[:i0] = -np.cumsum(incr[:i0][::-1], axis=0)[::-1]
-    return Q - (t * spec.gamma).reshape(shape)
+    # Q[..., j] holds the trapezoid increment over [t_j, t_j+1] for j < i0
+    # and over [t_j-1, t_j] for j > i0, so each half accumulates in place
+    np.add(F[..., 1:i0 + 1], F[..., :i0], out=Q[..., :i0])
+    np.add(F[..., i0 + 1:], F[..., i0:-1], out=Q[..., i0 + 1:])
+    Q[..., i0] = 0.0
+    Q *= 0.5
+    Q *= np.insert(np.diff(t), i0, 1.0)
+    right, left = Q[..., i0 + 1:], Q[..., i0 - 1::-1]
+    np.cumsum(right, axis=-1, out=right)
+    np.cumsum(left, axis=-1, out=left)
+    tg = t * spec.gamma
+    # -c - tg on the left as (-tg) - c: the same sum, one pass
+    np.subtract(-tg[:i0], Q[..., :i0], out=Q[..., :i0])
+    np.subtract(Q[..., i0:], tg[i0:], out=Q[..., i0:])
+    return Q.T
 
 
 def limit_objective_path(spec: GPSpec, path: GPPath, k: int) -> float:
@@ -261,6 +282,7 @@ def argmin_uniqueness_trial(spec: GPSpec, n_paths: int,
             raise ValueError("not enough injected paths")
     counts = np.zeros((n_paths, len(eps_schedule)), dtype=int)
     singles = np.zeros(len(eps_schedule), dtype=int)
+    mults = np.asarray(eps_schedule)[:, None]
     for start in range(0, n_paths, PATH_BLOCK):
         stop = min(start + PATH_BLOCK, n_paths)
         if paths is None:
@@ -268,15 +290,13 @@ def argmin_uniqueness_trial(spec: GPSpec, n_paths: int,
                                   n_paths=stop - start)
         else:
             block = GPPath(t_grid=paths[start].t_grid,
-                           values=np.stack([p.values for p in paths[start:stop]],
-                                           axis=1))
+                           values=np.stack([p.values for p in paths[start:stop]]).T)
         Q = objective_profile(spec, block)
         value_range = Q.max(axis=0) - Q.min(axis=0)
-        for e_idx, mult in enumerate(eps_schedule):
-            eps = mult * value_range
-            ncomp = sublevel_components(Q, eps)
-            counts[start:stop, e_idx] = ncomp
-            singles[e_idx] += np.sum((ncomp == 1) & (value_range > eps))
+        eps = mults * value_range  # (n_eps, k): one row per multiplier
+        ncomp = sublevel_components(Q, eps)
+        counts[start:stop] = ncomp.T
+        singles += np.sum((ncomp == 1) & (value_range > eps), axis=1)
     fractions = tuple(float(s) / n_paths for s in singles)
     return TrialReport(n_paths=n_paths, eps_schedule=eps_schedule,
                        single_fractions=fractions, component_counts=counts)

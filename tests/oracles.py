@@ -313,3 +313,65 @@ def single_linkage_reference(points, eps_value: float, delta_cluster: float):
                          "value": near[rep][1], "hits": len(members)})
     clusters.sort(key=lambda c: (c["value"], c["representative"]))
     return clusters
+
+
+
+def gp_profile_reference(spec, W) -> np.ndarray:
+    """Q along axis 0 of one path (G,) or a (G, k) block, from a zero array."""
+    from scipy.special import ndtr
+
+    t = spec.grid
+    shape = (-1,) + (1,) * (W.ndim - 1)
+    F = ndtr(W)
+    incr = 0.5 * (F[1:] + F[:-1]) * np.diff(t).reshape(shape)
+    i0 = len(t) // 2
+    Q = np.zeros_like(F)
+    Q[i0 + 1:] = np.cumsum(incr[i0:], axis=0)
+    Q[:i0] = -np.cumsum(incr[:i0][::-1], axis=0)[::-1]
+    return Q - (t * spec.gamma).reshape(shape)
+
+
+def trial_reference(spec, n_paths: int, eps_schedule, seed: int,
+                    block: int = 256) -> dict:
+    """The threshold trial as loops over columns, bit for bit.
+
+    Cholesky of K + jitter * I (first attempt only), each block of
+    ``block`` paths drawn column by column into a (G, k) array and mapped
+    through one ``drift + L @ xi`` product, ``gp_profile_reference`` along
+    axis 0, and one sublevel count per eps.  Returns L, the path blocks and
+    their profiles, the (n_paths, n_eps) run counts and the single-run
+    fractions.
+    """
+    t = spec.grid
+    G = len(t)
+    K = np.asarray(spec.kernel(t[:, None], t[None, :]), dtype=float)
+    L = np.linalg.cholesky(K + spec.jitter * np.eye(G))
+    drift = np.asarray(spec.drift(t), dtype=float)
+    blocks, profiles = [], []
+    counts = np.zeros((n_paths, len(eps_schedule)), dtype=int)
+    singles = [0] * len(eps_schedule)
+    for start in range(0, n_paths, block):
+        k = min(block, n_paths - start)
+        xi = np.empty((G, k))
+        for i in range(k):
+            xi[:, i] = np.random.default_rng(seed + start + i).standard_normal(G)
+        W = drift[:, None] + L @ xi
+        Q = gp_profile_reference(spec, W)
+        blocks.append(W)
+        profiles.append(Q)
+        value_range = Q.max(axis=0) - Q.min(axis=0)
+        for e_idx, mult in enumerate(eps_schedule):
+            eps = mult * value_range
+            mask = Q <= Q.min(axis=0) + eps
+            runs = mask[0] + np.sum(mask[1:] & ~mask[:-1], axis=0)
+            counts[start:start + k, e_idx] = runs
+            singles[e_idx] += int(np.sum((runs == 1) & (value_range > eps)))
+    return {"L": L, "blocks": blocks, "profiles": profiles, "counts": counts,
+            "fractions": tuple(float(s) / n_paths for s in singles)}
+
+
+def single_path_reference(spec, L, seed: int) -> np.ndarray:
+    """One path drift + L @ xi, xi from default_rng(seed), as a (G, 1) product."""
+    t = spec.grid
+    xi = np.random.default_rng(seed).standard_normal(len(t))[:, None]
+    return (np.asarray(spec.drift(t), dtype=float)[:, None] + L @ xi)[:, 0]

@@ -5,7 +5,7 @@ import pytest
 
 from argmin_unique.cli import FIGURE_CASES, main
 from argmin_unique.globalopt import MultistartConfig
-from argmin_unique.serialize import canonical_json
+from argmin_unique.serialize import canonical_json, write_csv
 from argmin_unique.weakid import make_example1, make_example2
 
 from oracles import ex1_roots, ex2_roots
@@ -175,6 +175,18 @@ def test_rerun_is_byte_identical(tmp_path):
         (tmp_path / "b.profile.csv").read_bytes()
 
 
+def test_write_csv_matches_row_formatting(tmp_path):
+    pis = np.array([-6.0, -0.0, 1e-17, 2.5, np.inf, np.nan, 1 / 3])
+    q = np.arange(7) * 1e12 / 7
+    write_csv(tmp_path / "c.csv", ["pi", "Q"], (pis, q), comments=["a", "z=1"])
+    rows = [f"{format(float(a), '.12g')},{format(float(b), '.12g')}\n"
+            for a, b in zip(pis, q)]
+    assert (tmp_path / "c.csv").read_text() == "# a\n# z=1\npi,Q\n" + "".join(rows)
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "d.csv", ["pi", "Q"], (pis, q[:-1]))
+    assert not (tmp_path / "d.csv").exists()
+
+
 def test_config_hash_tracks_tolerances(tmp_path):
     a, b = tmp_path / "t1", tmp_path / "t2"
     run(["weakid", "--example", "1", "--z", "-1.03,1.29,2.77", "--eps",
@@ -213,6 +225,11 @@ def test_config_hash_tracks_tolerances(tmp_path):
     ["generic-check", "--resolution", "3", "--tol", "nan"],
     ["generic-check", "--model", "example1", "--z=1,2"],
     ["generic-check", "--model", "quadratic", "--z=1,2"],
+    ["weakid", "--example", "1", "--z=-1.03,1.29,2.77", "--eps", "nan"],
+    ["weakid", "--example", "1", "--z=-1.03,1.29,2.77", "--eps=-1"],
+    ["weakid", "--example", "1", "--z=-1.03,1.29,2.77", "--delta", "nan"],
+    ["weakid", "--example", "1", "--z=-1.03,1.29,2.77", "--delta", "0"],
+    ["threshold", "--m-bound", "inf"],
 ], ids=["penalized-lam", "penalized-q", "threshold-grid", "mixture-components",
         "weakid-grid", "threshold-paths-0", "penalized-d-0", "weakid-pi-bound",
         "threshold-paths-negative", "threshold-eps-increasing",
@@ -222,7 +239,9 @@ def test_config_hash_tracks_tolerances(tmp_path):
         "mixture-data-repeated", "mixture-data-empty", "mixture-data-nan",
         "weakid-z-nan", "generic-check-z-inf", "generic-check-tol-negative",
         "generic-check-tol-nan", "generic-check-example1-z-length",
-        "generic-check-quadratic-z-length"])
+        "generic-check-quadratic-z-length", "weakid-eps-nan",
+        "weakid-eps-negative", "weakid-delta-nan", "weakid-delta-zero",
+        "threshold-m-bound-inf"])
 def test_invalid_settings_exit_2_without_outputs(tmp_path, args, capsys):
     (tmp_path / "repeated.csv").write_text("z\n0.5\n1.5\n0.5\n")
     (tmp_path / "empty.csv").write_text("z\n")

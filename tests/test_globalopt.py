@@ -96,6 +96,20 @@ def test_build_report_without_points_is_inconclusive():
     assert np.isnan(rep.global_value) and rep.converged_fraction == 0.0
 
 
+def test_build_report_without_clusters_is_inconclusive():
+    # a NaN best value leaves no point within eps of it
+    pts = [((0.0,), float("nan")), ((1.0,), 2.0)]
+    rep = build_report(pts, 1.0, 20.0, MultistartConfig())
+    assert rep.verdict == "inconclusive" and rep.clusters == ()
+
+
+@pytest.mark.parametrize("name", ["eps_value", "delta_cluster"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+def test_config_rejects_bad_tolerances(name, bad):
+    with pytest.raises(ValueError, match=name):
+        MultistartConfig(**{name: bad})
+
+
 def test_lbfgsb_descend_converges_at_a_bound():
     # (x - 3)^2 on [0, 1]: the minimum sits on the upper bound, where the
     # gradient is nonzero but the projected gradient vanishes
@@ -221,6 +235,19 @@ def test_sublevel_single_valley():
 def test_sublevel_convex_quadratic_grid():
     t = np.linspace(-1, 1, 101)
     assert sublevel_components((t - 0.2) ** 2, 1e-4) == 1
+
+
+def test_sublevel_eps_stack_matches_one_call_per_eps():
+    rng = np.random.default_rng(3)
+    block = np.cumsum(rng.standard_normal((60, 7)), axis=0)
+    eps = np.array([[2.0], [0.5], [0.01]]) * np.ptp(block, axis=0)
+    counts = sublevel_components(block, eps)
+    assert counts.shape == (3, 7)
+    for row, e in zip(counts, eps):
+        assert np.array_equal(row, sublevel_components(block, e))
+        for j in range(7):
+            assert row[j] == sublevel_components(block[:, j], e[j])
+    assert list(sublevel_components([0, 1, 0, 1, 0], [0.5, 2.0])) == [3, 1]
 
 
 def test_sublevel_rejects_nonfinite():

@@ -47,6 +47,10 @@ def test_params_and_sample_reject_non_finite_values(bad):
         MixtureParams(weights=(0.5, bad), means=(0.0, 1.0))
     with pytest.raises(ValueError):
         MixtureSample(z=(0.5, bad, 1.5))
+    with pytest.raises(ValueError, match="finite"):
+        UnrestrictedParams(weights=(0.5, 0.5), means=(0.0, bad))
+    with pytest.raises(ValueError, match="finite"):
+        UnrestrictedParams(weights=(0.5, bad), means=(0.0, 1.0))
 
 
 # ----------------------------------------------------------------- density

@@ -9,7 +9,10 @@ from argmin_unique.globalopt import sublevel_components
 from argmin_unique.threshold import (PATH_BLOCK, build_factor,
                                      endpoint_decomposition,
                                      endpoint_shift_gap_derivative,
-                                     exponential_kernel, kernel_matrix)
+                                     exponential_kernel, gaussian_kernel,
+                                     kernel_matrix)
+from oracles import (gp_profile_reference, single_path_reference,
+                     trial_reference)
 
 
 def small_spec(**kwargs):
@@ -27,6 +30,12 @@ def flat_path(spec, c=0.0):
 def test_spec_rejects_even_grid():
     with pytest.raises(ValueError):
         GPSpec(grid_size=100)
+
+
+def test_spec_rejects_non_finite_m_bound():
+    for bound in (np.inf, np.nan, 0.0):
+        with pytest.raises(ValueError, match="m_bound"):
+            GPSpec(m_bound=bound)
 
 
 def test_spec_rejects_bad_gamma():
@@ -229,3 +238,42 @@ def test_trial_rejects_non_finite_drift():
     spec = small_spec(drift=lambda t: np.where(np.asarray(t) > 4.9, np.inf, 0.0))
     with pytest.raises(ValueError, match="finite"):
         argmin_uniqueness_trial(spec, 3)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
+
+
+# (grid size, kernel, n_paths): partial, full and multi-block trials
+ORACLE_CASES = [
+    (3, gaussian_kernel, 1), (5, exponential_kernel, 3),
+    (101, gaussian_kernel, 50), (101, exponential_kernel, 255),
+    (101, gaussian_kernel, 257), (101, exponential_kernel, 300),
+    (1001, gaussian_kernel, 500), (1001, exponential_kernel, 600),
+    (1001, gaussian_kernel, 700), (1001, gaussian_kernel, 2000),
+    (101, exponential_kernel, 1), (1001, exponential_kernel, 3),
+]
+
+
+@pytest.mark.parametrize("grid_size,kernel,n", ORACLE_CASES)
+def test_trial_is_bit_identical_to_column_oracle(grid_size, kernel, n):
+    spec = GPSpec(grid_size=grid_size, kernel=kernel)
+    seed, schedule = 7, (1e-2, 3e-3, 1e-3, 3e-4)
+    ref = trial_reference(spec, n, schedule, seed, block=PATH_BLOCK)
+    factor = build_factor(spec)
+    assert _same_bits(factor.L, ref["L"])
+    trial = argmin_uniqueness_trial(spec, n, eps_schedule=schedule, seed=seed)
+    assert _same_bits(trial.component_counts, ref["counts"])
+    assert trial.single_fractions == ref["fractions"]
+    for b, start in enumerate(range(0, n, PATH_BLOCK)):
+        block = simulate_path(spec, seed + start, factor,
+                              n_paths=min(PATH_BLOCK, n - start))
+        assert _same_bits(block.values, ref["blocks"][b])
+        assert _same_bits(objective_profile(spec, block), ref["profiles"][b])
+    single = simulate_path(spec, seed, factor)
+    W = single_path_reference(spec, ref["L"], seed)
+    assert _same_bits(single.values, W)
+    assert _same_bits(objective_profile(spec, single),
+                      gp_profile_reference(spec, W))
