@@ -1,9 +1,9 @@
 """Command-line front end: experiment configs in, deterministic reports out.
 
 Every command writes ``<prefix>.report.json`` (canonical JSON embedding the
-config hash, seed and library version) and, where a curve is produced,
-``<prefix>.profile.csv``.  Exit codes: 0 success, 2 configuration error,
-3 numeric failure.
+parsed flags as its config, their hash, the seed and the library version)
+and, where a curve is produced, ``<prefix>.profile.csv``.  Exit codes:
+0 success, 2 configuration error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -39,14 +39,20 @@ FIGURE_CASES = (
 )
 
 
-def _parse_floats(text: str) -> tuple:
+def _finite_float(text: str) -> float:
+    """argparse type of every float flag: a finite float or a ConfigError."""
     try:
-        values = tuple(float(v) for v in text.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse float list {text!r}") from exc
-    if not all(math.isfinite(v) for v in values):
-        raise ConfigError(f"float list {text!r} has a non-finite entry")
-    return values
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"{text!r} is not a finite float")
+    return value
+
+
+def _parse_floats(text: str) -> tuple:
+    """argparse type of a comma-separated list of finite floats."""
+    return tuple(_finite_float(v) for v in text.split(","))
 
 
 def _validated(build, **kwargs):
@@ -61,23 +67,6 @@ def _validated(build, **kwargs):
         raise ConfigError(str(exc)) from exc
 
 
-def _report_envelope(command: str, config: dict, payload: dict) -> dict:
-    return {
-        "command": command,
-        "config": config,
-        "config_hash": config_hash(config),
-        "seed": config.get("seed"),
-        "version": __version__,
-        **payload,
-    }
-
-
-def _ensure_parent(prefix: str) -> None:
-    parent = Path(prefix).parent
-    if str(parent) and not parent.exists():
-        parent.mkdir(parents=True, exist_ok=True)
-
-
 def _example_model(number: int, pi_bound: float):
     if number == 1:
         return make_example1(pi_bound=pi_bound)
@@ -86,13 +75,7 @@ def _example_model(number: int, pi_bound: float):
     raise ConfigError(f"unknown example {number}")
 
 
-def cmd_weakid(args) -> int:
-    config = {
-        "seed": args.seed, "example": args.example, "draws": args.draws,
-        "z": list(_parse_floats(args.z)) if args.z else None,
-        "eps": args.eps, "delta": args.delta,
-        "pi_bound": args.pi_bound, "grid": args.grid,
-    }
+def cmd_weakid(args) -> dict:
     model = _validated(_example_model, number=args.example,
                        pi_bound=args.pi_bound)
     if not args.z and args.draws < 1:
@@ -100,67 +83,46 @@ def cmd_weakid(args) -> int:
     # one detector for both modes: the model's dense grid of --grid points
     cfg = _validated(MultistartConfig, seed=args.seed, n_starts=args.grid,
                      eps_value=args.eps, delta_cluster=args.delta)
-    _ensure_parent(args.out)
-    if args.z:
-        z = np.asarray(_parse_floats(args.z))
-        if len(z) != model.d_z:
-            raise ConfigError(f"z must have {model.d_z} components")
-        report = model.detect(z, cfg)
-        pis = np.linspace(-args.pi_bound, args.pi_bound, args.grid)
-        write_csv(f"{args.out}.profile.csv", ["pi", "Q"],
-                  (pis, profile(model, pis, z)), comments=[KAPPA_NOTE])
-        payload = {"argmin": report.to_dict(), "kappa_note": KAPPA_NOTE}
-    else:
+    if not args.z:
         estimate = multiplicity_probability(model, args.draws, seed=args.seed,
                                             cfg=cfg)
-        payload = {"multiplicity": estimate.to_dict(), "kappa_note": KAPPA_NOTE}
-    write_report(f"{args.out}.report.json",
-                 _report_envelope("weakid", config, payload))
-    return 0
+        return {"multiplicity": estimate.to_dict(), "kappa_note": KAPPA_NOTE}
+    z = np.asarray(args.z)
+    if len(z) != model.d_z:
+        raise ConfigError(f"z must have {model.d_z} components")
+    report = model.detect(z, cfg)
+    pis = np.linspace(-args.pi_bound, args.pi_bound, args.grid)
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+    write_csv(f"{args.out}.profile.csv", ["pi", "Q"],
+              (pis, profile(model, pis, z)), comments=[KAPPA_NOTE])
+    return {"argmin": report.to_dict(), "kappa_note": KAPPA_NOTE}
 
 
-def cmd_mixture(args) -> int:
-    config = {
-        "seed": args.seed, "components": args.components,
-        "data": args.data, "n": args.n, "starts": args.starts,
-        "weights": list(_parse_floats(args.weights)) if args.weights else None,
-        "means": list(_parse_floats(args.means)) if args.means else None,
-        "force": args.force,
-    }
+def cmd_mixture(args) -> dict:
     if args.components < 1:
         raise ConfigError("--components must be at least 1")
     if args.data:
         sample = _validated(read_sample_csv, path=args.data)
     else:
-        weights = _parse_floats(args.weights) if args.weights else (0.5, 0.5)
-        means = _parse_floats(args.means) if args.means else (-2.0, 2.0)
-        params = _validated(MixtureParams, weights=weights, means=means)
+        params = _validated(MixtureParams, weights=args.weights or (0.5, 0.5),
+                            means=args.means or (-2.0, 2.0))
         model = _validated(MixtureModel, true_params=params, n=args.n,
                            fit_J=args.components)
         rng = np.random.default_rng(args.seed)
-        sample = MixtureSample(z=tuple(model.sample_z(rng)))
+        sample = _validated(MixtureSample, z=tuple(model.sample_z(rng)))
     cfg = _validated(MultistartConfig, seed=args.seed, n_starts=args.starts)
     report = fit_mle(sample, args.components, cfg, force=args.force)
     if not report.clusters:
         raise DiagnosticsError("no converged fit")
     params = params_from_point(report.clusters[0].representative, args.components)
-    payload = {
+    return {
         "argmin": report.to_dict(),
         "fit": {"weights": list(params.weights), "means": list(params.means),
                 "nll": mixture_nll(params, sample)},
     }
-    _ensure_parent(args.out)
-    write_report(f"{args.out}.report.json",
-                 _report_envelope("mixture", config, payload))
-    return 0
 
 
-def cmd_penalized(args) -> int:
-    config = {
-        "seed": args.seed, "penalty": args.penalty, "lam": args.lam,
-        "q": args.q, "a": args.a, "gamma": args.gamma,
-        "data": args.data, "n": args.n, "d": args.d,
-    }
+def cmd_penalized(args) -> dict:
     spec = _validated(PenaltySpec, kind=args.penalty, lam=args.lam, q=args.q,
                       a=args.a, gamma=args.gamma)
     if args.data:
@@ -182,41 +144,24 @@ def cmd_penalized(args) -> int:
         raise DiagnosticsError("no converged fit")
     beta = np.asarray(report.clusters[0].representative)
     support = [int(k) for k in np.nonzero(np.abs(beta) > 1e-7)[0]]
-    payload = {
+    return {
         "argmin": report.to_dict(),
         "fit": {"beta": beta.tolist(), "support": support,
                 "value": report.clusters[0].value, "verdict": report.verdict},
     }
-    _ensure_parent(args.out)
-    write_report(f"{args.out}.report.json",
-                 _report_envelope("penalized", config, payload))
-    return 0
 
 
-def cmd_threshold(args) -> int:
-    config = {
-        "seed": args.seed, "paths": args.paths, "grid_size": args.grid_size,
-        "m_bound": args.m_bound, "gamma": args.gamma,
-        "eps_schedule": list(_parse_floats(args.eps_schedule)),
-    }
+def cmd_threshold(args) -> dict:
     spec = _validated(GPSpec, m_bound=args.m_bound, grid_size=args.grid_size,
                       gamma=args.gamma)
     eps_schedule = _validated(trial_settings, n_paths=args.paths,
-                              eps_schedule=_parse_floats(args.eps_schedule))
+                              eps_schedule=args.eps_schedule)
     trial = argmin_uniqueness_trial(spec, args.paths, eps_schedule=eps_schedule,
                                     seed=args.seed)
-    payload = {"trial": trial.to_dict()}
-    _ensure_parent(args.out)
-    write_report(f"{args.out}.report.json",
-                 _report_envelope("threshold", config, payload))
-    return 0
+    return {"trial": trial.to_dict()}
 
 
-def cmd_generic_check(args) -> int:
-    config = {
-        "seed": args.seed, "model": args.model, "resolution": args.resolution,
-        "tol": args.tol, "z": list(_parse_floats(args.z)) if args.z else None,
-    }
+def cmd_generic_check(args) -> dict:
     if args.model == "quadratic":
         base = QuadraticModel()
         obj, domain, d_z = base.objective(), base.domain, base.dim
@@ -228,22 +173,18 @@ def cmd_generic_check(args) -> int:
     z_region = box([-3.0] * d_z, [3.0] * d_z)
     if args.resolution < 2:
         raise ConfigError("--resolution must be at least 2")
-    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
-        raise ConfigError("--tol must be finite and positive")
-    z_points = [np.asarray(_parse_floats(args.z))] if args.z else None
+    if args.tol is not None and not args.tol > 0:
+        raise ConfigError("--tol must be positive")
+    z_points = [np.asarray(args.z)] if args.z else None
     if z_points and len(z_points[0]) != d_z:
         raise ConfigError(f"z must have {d_z} components")
     report = scan_grid(obj, domain, z_region=z_region,
                        resolution=args.resolution, tol=args.tol,
                        z_points=z_points)
-    payload = {"scan": report.to_dict()}
-    _ensure_parent(args.out)
-    write_report(f"{args.out}.report.json",
-                 _report_envelope("generic-check", config, payload))
-    return 0
+    return {"scan": report.to_dict()}
 
 
-def cmd_reproduce_figures(args) -> int:
+def cmd_reproduce_figures(args) -> None:
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     pis = np.linspace(-6.0, 6.0, 1201)
@@ -252,113 +193,109 @@ def cmd_reproduce_figures(args) -> int:
         q = profile(model, pis, np.asarray(z))
         write_csv(outdir / f"{name}.csv", ["pi", "Q"], (pis, q),
                   comments=[KAPPA_NOTE, f"z={','.join(str(v) for v in z)}"])
-    return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple:
+    """The CLI parser and its subcommand parsers by name.
+
+    Each flag is declared here once: its type gives the parsed value that
+    the command reads and the report's config records, and its dest is
+    the key a config file may set.
+    """
     parser = argparse.ArgumentParser(
         prog="argmin-unique",
         description="Diagnostics for almost-sure uniqueness of global minimizers")
     parser.add_argument("--config", help="JSON config file replacing CLI flags")
     sub = parser.add_subparsers(dest="command")
+    commands = {}
 
-    p = sub.add_parser("weakid", help="weak-identification limit objective")
+    def command(name, func, help):
+        commands[name] = sub.add_parser(name, help=help)
+        commands[name].set_defaults(func=func)
+        return commands[name]
+
+    p = command("weakid", cmd_weakid, "weak-identification limit objective")
     p.add_argument("--example", type=int, default=1, choices=(1, 2))
-    p.add_argument("--z", help="comma-separated z vector (single-draw mode)")
+    p.add_argument("--z", type=_parse_floats,
+                   help="comma-separated z vector (single-draw mode)")
     p.add_argument("--draws", type=int, default=0,
                    help="Monte Carlo draws (multiplicity-probability mode)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--pi-bound", type=float, default=6.0)
+    p.add_argument("--eps", type=_finite_float, default=None)
+    p.add_argument("--delta", type=_finite_float, default=None)
+    p.add_argument("--pi-bound", type=_finite_float, default=6.0)
     p.add_argument("--grid", type=int, default=1201,
                    help="points of the detector's pi grid (at least 201 are "
                         "used) and of the profile CSV")
     p.add_argument("--out", default="weakid")
-    p.set_defaults(func=cmd_weakid)
 
-    p = sub.add_parser("mixture", help="normal mixture maximum likelihood")
+    p = command("mixture", cmd_mixture, "normal mixture maximum likelihood")
     p.add_argument("--data", help="single-column CSV of observations")
     p.add_argument("--components", type=int, default=2)
     p.add_argument("--n", type=int, default=50)
-    p.add_argument("--weights", help="true weights for simulation")
-    p.add_argument("--means", help="true means for simulation")
+    p.add_argument("--weights", type=_parse_floats,
+                   help="true weights for simulation")
+    p.add_argument("--means", type=_parse_floats,
+                   help="true means for simulation")
     p.add_argument("--starts", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--force", action="store_true",
                    help="allow J > sqrt(n) (uniqueness no longer guaranteed)")
     p.add_argument("--out", default="mixture")
-    p.set_defaults(func=cmd_mixture)
 
-    p = sub.add_parser("penalized", help="penalized least squares")
+    p = command("penalized", cmd_penalized, "penalized least squares")
     p.add_argument("--data", help="CSV with header y,x1,...,xd")
     p.add_argument("--penalty", default="scad",
                    choices=("l0", "bridge", "scad", "mcp"))
-    p.add_argument("--lam", type=float, default=1.0)
-    p.add_argument("--q", type=float, default=0.5)
-    p.add_argument("--a", type=float, default=3.7)
-    p.add_argument("--gamma", type=float, default=3.0)
+    p.add_argument("--lam", type=_finite_float, default=1.0)
+    p.add_argument("--q", type=_finite_float, default=0.5)
+    p.add_argument("--a", type=_finite_float, default=3.7)
+    p.add_argument("--gamma", type=_finite_float, default=3.0)
     p.add_argument("--n", type=int, default=20)
     p.add_argument("--d", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="penalized")
-    p.set_defaults(func=cmd_penalized)
 
-    p = sub.add_parser("threshold", help="Gaussian-process functional trial")
+    p = command("threshold", cmd_threshold, "Gaussian-process functional trial")
     p.add_argument("--paths", type=int, default=500)
     p.add_argument("--grid-size", type=int, default=1001)
-    p.add_argument("--m-bound", type=float, default=5.0)
-    p.add_argument("--gamma", type=float, default=0.5)
-    p.add_argument("--eps-schedule", default="1e-2,3e-3,1e-3,3e-4")
+    p.add_argument("--m-bound", type=_finite_float, default=5.0)
+    p.add_argument("--gamma", type=_finite_float, default=0.5)
+    p.add_argument("--eps-schedule", type=_parse_floats,
+                   default="1e-2,3e-3,1e-3,3e-4")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="threshold")
-    p.set_defaults(func=cmd_threshold)
 
-    p = sub.add_parser("generic-check", help="nondegeneracy grid scan")
+    p = command("generic-check", cmd_generic_check, "nondegeneracy grid scan")
     p.add_argument("--model", default="quadratic",
                    choices=("quadratic", "example1", "example2"))
     p.add_argument("--resolution", type=int, default=11)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--z", help="fix the z point instead of scanning a z grid")
+    p.add_argument("--tol", type=_finite_float, default=None)
+    p.add_argument("--z", type=_parse_floats,
+                   help="fix the z point instead of scanning a z grid")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="generic_check")
-    p.set_defaults(func=cmd_generic_check)
 
-    p = sub.add_parser("reproduce-figures",
-                       help="profile CSVs for the built-in example draws")
+    p = command("reproduce-figures", cmd_reproduce_figures,
+                "profile CSVs for the built-in example draws")
     p.add_argument("--out-dir", default="figures")
-    p.set_defaults(func=cmd_reproduce_figures)
-    return parser
+    return parser, commands
 
 
-_CONFIG_KEYS = {
-    "weakid": {"command", "example", "z", "draws", "seed", "eps", "delta",
-               "pi_bound", "grid", "out"},
-    "mixture": {"command", "data", "components", "n", "weights", "means",
-                "starts", "seed", "force", "out"},
-    "penalized": {"command", "data", "penalty", "lam", "q", "a", "gamma",
-                  "n", "d", "seed", "out"},
-    "threshold": {"command", "paths", "grid_size", "m_bound", "gamma",
-                  "eps_schedule", "seed", "out"},
-    "generic-check": {"command", "model", "resolution", "tol", "z", "seed",
-                      "out"},
-    "reproduce-figures": {"command", "out_dir"},
-}
-
-
-def _args_from_config(path: str, parser: argparse.ArgumentParser):
+def _args_from_config(path: str, parser: argparse.ArgumentParser, commands):
+    """Parse a JSON config whose keys are a command's flags in dest form."""
     try:
         with open(path) as handle:
             raw = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(raw, dict) or "command" not in raw:
-        raise ConfigError("config must be an object with a 'command' key")
+    if not isinstance(raw, dict) or not isinstance(raw.get("command"), str):
+        raise ConfigError("config must be an object with a string 'command' key")
     command = raw["command"]
-    allowed = _CONFIG_KEYS.get(command)
-    if allowed is None:
+    if command not in commands:
         raise ConfigError(f"unknown command {command!r}")
-    unknown = set(raw) - allowed
+    allowed = set(vars(commands[command].parse_args([]))) - {"func"}
+    unknown = set(raw) - allowed - {"command"}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     argv = [command]
@@ -374,38 +311,50 @@ def _args_from_config(path: str, parser: argparse.ArgumentParser):
     return parser.parse_args(argv)
 
 
-_VALUE_FLAGS = {"--z", "--weights", "--means", "--eps-schedule"}
-
-
 def _merge_negative_values(argv):
-    """Turn ['--z', '-1.03,...'] into ['--z=-1.03,...'] for argparse."""
-    out, skip = [], False
-    for i, arg in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if (arg in _VALUE_FLAGS and i + 1 < len(argv)
-                and argv[i + 1].startswith("-")
-                and any(c.isdigit() for c in argv[i + 1])):
-            out.append(f"{arg}={argv[i + 1]}")
-            skip = True
+    """Turn ['--z', '-1.03,...'] into ['--z=-1.03,...'] for argparse, which
+    takes a dash-led value other than a plain negative number for a flag."""
+    out = []
+    for arg in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and arg.startswith("-") and any(c.isdigit() for c in arg)):
+            out[-1] += "=" + arg
         else:
             out.append(arg)
     return out
 
 
+def _write_report(args, payload: dict) -> None:
+    """``<out>.report.json``: the payload under an envelope whose config is
+    the parsed flags of the run."""
+    config = {key: value for key, value in vars(args).items()
+              if key not in ("command", "config", "func", "out")}
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+    write_report(f"{args.out}.report.json", {
+        "command": args.command,
+        "config": config,
+        "config_hash": config_hash(config),
+        "seed": config.get("seed"),
+        "version": __version__,
+        **payload,
+    })
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_merge_negative_values(list(argv)))
     try:
+        args = parser.parse_args(_merge_negative_values(list(argv)))
         if args.config:
-            args = _args_from_config(args.config, parser)
+            args = _args_from_config(args.config, parser, commands)
         if not getattr(args, "command", None):
             parser.print_help()
             return 2
-        return args.func(args)
+        payload = args.func(args)
+        if payload is not None:
+            _write_report(args, payload)
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

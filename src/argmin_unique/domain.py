@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -28,18 +28,7 @@ def as_vector(x) -> np.ndarray:
     return np.atleast_1d(np.asarray(x, dtype=float))
 
 
-@dataclass(frozen=True)
-class FDConfig:
-    """Finite-difference settings (central scheme)."""
-
-    step: float = 1e-5
-
-    def __post_init__(self):
-        if not self.step > 0:
-            raise ValueError("FD step must be positive")
-
-
-FD_DEFAULT = FDConfig()
+FD_STEP = 1e-5  # finite-difference step of the central / one-sided schemes
 
 
 @dataclass(frozen=True)
@@ -75,6 +64,8 @@ class Box:
         object.__setattr__(self, "nonzero", tuple(int(k) for k in self.nonzero))
         if len(lower) != len(upper):
             raise ValueError("lower and upper must have equal length")
+        if not np.all(np.isfinite(lower + upper)):
+            raise ValueError("box bounds must be finite")
         if not all(l < u for l, u in zip(lower, upper)):
             raise ValueError("need lower_k < upper_k for every coordinate")
         if not self.margin > 0:
@@ -339,6 +330,18 @@ def interval_domain(lo: float, hi: float) -> Domain:
     return Domain(pieces=(box(lo, hi),))
 
 
+def mesh_points(boxes: Sequence[Box], resolution: int) -> np.ndarray:
+    """Points of a ``resolution``-per-axis mesh over each box's bounds that
+    the box contains, box by box, as a (k, d) array."""
+    pts = []
+    for b in boxes:
+        axes = [np.linspace(lo, hi, resolution) for lo, hi in zip(b.lower, b.upper)]
+        grid = np.meshgrid(*axes, indexing="ij")
+        cand = np.stack([g.ravel() for g in grid], axis=1)
+        pts.extend(p for p in cand if b.contains(p, slack=1e-9))
+    return np.asarray(pts)
+
+
 @dataclass(frozen=True)
 class Objective:
     """Handle for Q(t, z) with optional analytic gradients.
@@ -391,8 +394,7 @@ def _direction_in(delta: np.ndarray, directions: np.ndarray) -> bool:
     return bool(np.any(np.max(np.abs(directions - delta), axis=1) <= _DIRECTION_TOL))
 
 
-def directional_derivative_t(obj: Objective, t, z, delta,
-                             fd: FDConfig = FD_DEFAULT) -> float:
+def directional_derivative_t(obj: Objective, t, z, delta) -> float:
     """One-sided derivative of Q along an admissible direction at t.
 
     Uses the analytic t-gradient when available.  Otherwise central
@@ -412,7 +414,7 @@ def directional_derivative_t(obj: Objective, t, z, delta,
         two_sided = _direction_in(-delta, dirs)
     if obj.grad_t is not None:
         return float(np.dot(as_vector(obj.grad_t(t, z)), delta))
-    h = fd.step
+    h = FD_STEP
     if two_sided:
         return (eval_objective(obj, t + h * delta, z)
                 - eval_objective(obj, t - h * delta, z)) / (2 * h)
@@ -423,12 +425,12 @@ def directional_derivative_t(obj: Objective, t, z, delta,
     return (-3.0 * f0 + 4.0 * f1 - f2) / (2 * h)
 
 
-def grad_z(obj: Objective, t, z, fd: FDConfig = FD_DEFAULT) -> np.ndarray:
+def grad_z(obj: Objective, t, z) -> np.ndarray:
     """Gradient of Q with respect to z (analytic or central differences)."""
     t, z = as_vector(t), as_vector(z)
     if obj.grad_z is not None:
         return as_vector(obj.grad_z(t, z))
-    h = fd.step
+    h = FD_STEP
     out = np.empty_like(z)
     for i in range(len(z)):
         zp, zm = z.copy(), z.copy()

@@ -18,12 +18,13 @@ repaired.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
-from .domain import (FD_DEFAULT, Box, Domain, FDConfig, Objective, as_vector,
-                     directional_derivative_t, eval_objective, grad_z)
+from .domain import (Box, Domain, Objective, as_vector,
+                     directional_derivative_t, eval_objective, grad_z,
+                     mesh_points)
 from .errors import NotDistinct
 
 CONDITION_ORDER = ("a", "b", "c", "d")
@@ -79,7 +80,7 @@ class GenericityVerdict:
         }
 
 
-def _point_terms(obj: Objective, points, zs, fd: FDConfig) -> tuple:
+def _point_terms(obj: Objective, points, zs) -> tuple:
     """Per-point quantities every margin is built from, for each (point, z).
 
     Returns Q (P, M), the best admissible descent rate -dQ/dh, 0 when no
@@ -98,9 +99,9 @@ def _point_terms(obj: Objective, points, zs, fd: FDConfig) -> tuple:
         fixed = replace(obj, admissible_directions=lambda _t, dirs=dirs: dirs)
         for m, z in enumerate(zs):
             q[p, m] = eval_objective(obj, point, z)
-            rate[p, m] = max([0.0] + [-directional_derivative_t(fixed, point, z, d, fd)
+            rate[p, m] = max([0.0] + [-directional_derivative_t(fixed, point, z, d)
                                       for d in dirs])
-            gz.append(grad_z(obj, point, z, fd))
+            gz.append(grad_z(obj, point, z))
     return q, rate, np.reshape(gz, (len(points), len(zs), -1))
 
 
@@ -135,7 +136,6 @@ def _triple(margins: dict, tols, k: int, m: int) -> tuple:
 
 
 def check_triple(obj: Objective, t, s, z, tol: Optional[float] = None,
-                 fd: FDConfig = FD_DEFAULT,
                  min_separation: float = 1e-9) -> GenericityVerdict:
     """Classify a triple by the first condition (a)-(d) that holds.
 
@@ -146,7 +146,7 @@ def check_triple(obj: Objective, t, s, z, tol: Optional[float] = None,
     t, s, z = as_vector(t), as_vector(s), as_vector(z)
     _require_tolerance(tol)
     _require_distinct(t, s, min_separation)
-    margins, tols = _margins(*_point_terms(obj, [t, s], [z], fd), [0], [1], tol)
+    margins, tols = _margins(*_point_terms(obj, [t, s], [z]), [0], [1], tol)
     return _verdict(t, s, z, *_triple(margins, tols, 0, 0))
 
 
@@ -166,21 +166,10 @@ class ScanReport:
         }
 
 
-def _mesh_points(boxes: Sequence[Box], resolution: int) -> np.ndarray:
-    pts = []
-    for b in boxes:
-        axes = [np.linspace(lo, hi, resolution) for lo, hi in zip(b.lower, b.upper)]
-        grid = np.meshgrid(*axes, indexing="ij")
-        cand = np.stack([g.ravel() for g in grid], axis=1)
-        pts.extend(p for p in cand if b.contains(p, slack=1e-9))
-    return np.asarray(pts)
-
-
 def scan_grid(obj: Objective, domain: Domain, z_region: Optional[Box] = None,
               resolution: int = 11, tol: Optional[float] = None,
               t_points: Optional[Iterable] = None,
               z_points: Optional[Iterable] = None,
-              fd: FDConfig = FD_DEFAULT,
               min_separation: Optional[float] = None) -> ScanReport:
     """Check every (t, s, z) grid triple with t, s in distinct cells.
 
@@ -196,11 +185,11 @@ def scan_grid(obj: Objective, domain: Domain, z_region: Optional[Box] = None,
     if t_points is not None:
         tp = np.asarray([as_vector(p) for p in t_points])
     else:
-        tp = _mesh_points(domain.pieces, resolution)
+        tp = mesh_points(domain.pieces, resolution)
     if z_points is not None:
         zp = np.asarray([as_vector(p) for p in z_points])
     elif z_region is not None:
-        zp = _mesh_points([z_region], resolution)
+        zp = mesh_points([z_region], resolution)
     else:
         raise ValueError("provide z_region or z_points")
     if min_separation is None:
@@ -213,7 +202,7 @@ def scan_grid(obj: Objective, domain: Domain, z_region: Optional[Box] = None,
     degenerate = []
     used = np.unique(np.concatenate([i, j]))
     if len(used):
-        terms = _point_terms(obj, tp[used], zp, fd)
+        terms = _point_terms(obj, tp[used], zp)
         margins, tols = _margins(*terms, np.searchsorted(used, i),
                                  np.searchsorted(used, j), tol)
         flagged = np.logical_or.reduce([margins[c] > tols for c in CONDITION_ORDER])

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .domain import (Box, Domain, Objective, as_vector, eval_block,
-                     eval_objective)
+                     eval_objective, mesh_points)
 
 
 @dataclass(frozen=True)
@@ -437,10 +437,7 @@ def value_function(obj: Objective, K: Box, z, grid: int = 1024,
     if K.eq_constraints or free > 3:
         pts = _sobol_starts(K, grid, (cfg.seed, 1 << 20))
     else:
-        axes = [np.linspace(lo, hi, per_axis) for lo, hi in zip(K.lower, K.upper)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = [p for p in np.stack([g.ravel() for g in mesh], axis=1)
-               if K.contains(p, slack=1e-9)]
+        pts = mesh_points([K], per_axis)
     values = [eval_objective(obj, p, z) for p in pts]
     order = np.argsort(values)
     best = values[order[0]]

@@ -420,11 +420,8 @@ class MixtureModel:
     def sample_z(self, rng: np.random.Generator) -> np.ndarray:
         comp = rng.choice(self.true_params.n_components, size=self.n,
                           p=self.true_params.weights_arr)
-        z = self.true_params.means_arr[comp] + rng.standard_normal(self.n)
-        # ties have probability zero; re-draw defensively if they occur
-        while len(np.unique(z)) < self.n:
-            z = self.true_params.means_arr[comp] + rng.standard_normal(self.n)
-        return z
+        # ties have probability zero; MixtureSample rejects a tied draw
+        return self.true_params.means_arr[comp] + rng.standard_normal(self.n)
 
     def detect(self, z, cfg: MultistartConfig) -> ArgminReport:
         return fit_mle(MixtureSample(z=tuple(z)), self.fit_J, cfg)

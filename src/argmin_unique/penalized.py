@@ -40,6 +40,8 @@ class PenaltySpec:
             raise ValueError(f"kind must be one of {PENALTY_KINDS}")
         if not self.lam > 0:
             raise ValueError("lam must be positive")
+        if not np.all(np.isfinite([self.lam, self.q, self.a, self.gamma])):
+            raise ValueError("lam, q, a and gamma must be finite")
         if self.kind == "bridge" and not 0 < self.q < 1:
             raise ValueError("bridge exponent q must lie in (0, 1)")
         if self.kind == "scad" and not self.a > 2:

@@ -206,7 +206,7 @@ def _mesh(boxes, resolution: int):
     return np.asarray(pts)
 
 
-def triple_reference(obj, t, s, z, tol=None, fd=None) -> dict:
+def triple_reference(obj, t, s, z, tol=None) -> dict:
     """Margins and tolerance of one (t, s, z) triple, from scratch.
 
     Uses the ``domain`` helpers: a = |Q(t,z) - Q(s,z)|, b / c = best
@@ -214,15 +214,13 @@ def triple_reference(obj, t, s, z, tol=None, fd=None) -> dict:
     |grad_z Q(t,z) - grad_z Q(s,z)|; tol defaults to
     1e-6 (1 + |Q(t,z)| + |Q(s,z)|).
     """
-    from argmin_unique.domain import (FD_DEFAULT, directional_derivative_t,
+    from argmin_unique.domain import (directional_derivative_t,
                                       eval_objective, grad_z)
-
-    fd = FD_DEFAULT if fd is None else fd
 
     def descent(point):
         best = 0.0
         for d in obj.admissible_directions(point):
-            best = max(best, -directional_derivative_t(obj, point, z, d, fd))
+            best = max(best, -directional_derivative_t(obj, point, z, d))
         return best
 
     qt, qs = eval_objective(obj, t, z), eval_objective(obj, s, z)
@@ -230,14 +228,14 @@ def triple_reference(obj, t, s, z, tol=None, fd=None) -> dict:
         "a": abs(qt - qs),
         "b": descent(t),
         "c": descent(s),
-        "d": float(np.max(np.abs(grad_z(obj, t, z, fd) - grad_z(obj, s, z, fd)))),
+        "d": float(np.max(np.abs(grad_z(obj, t, z) - grad_z(obj, s, z)))),
     }
     return {"margins": margins,
             "tolerance": tol if tol is not None else 1e-6 * (1.0 + abs(qt) + abs(qs))}
 
 
 def scan_reference(obj, domain, z_region=None, resolution: int = 11, tol=None,
-                   t_points=None, z_points=None, fd=None,
+                   t_points=None, z_points=None,
                    min_separation=None) -> dict:
     """Nondegeneracy scan as a plain loop over (t, s, z) triples.
 
@@ -263,7 +261,7 @@ def scan_reference(obj, domain, z_region=None, resolution: int = 11, tol=None,
                 continue
             for z in zp:
                 total += 1
-                ref = triple_reference(obj, t, s, z, tol, fd)
+                ref = triple_reference(obj, t, s, z, tol)
                 margins = ref["margins"]
                 if any(m > ref["tolerance"] for m in margins.values()):
                     continue

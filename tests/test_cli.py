@@ -155,12 +155,51 @@ def test_malformed_config_exits_2_without_outputs(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{not json")
     assert run(["--config", str(cfg)]) == 2
-    cfg.write_text(json.dumps({"command": "weakid", "bogus_key": 1,
-                               "out": str(tmp_path / "never")}))
-    assert run(["--config", str(cfg)]) == 2
+    # keys are the command's own flag dests: no abbreviation ("pi" for
+    # "pi_bound"), no other command's flag, no parser internals
+    for key, value in [("bogus_key", 1), ("pi", 3.0), ("components", 2),
+                       ("func", "cmd_weakid"), ("config", "other.json")]:
+        cfg.write_text(json.dumps({"command": "weakid", "draws": 1, key: value,
+                                   "out": str(tmp_path / "never")}))
+        assert run(["--config", str(cfg)]) == 2, key
     cfg.write_text(json.dumps({"command": "unknown-cmd"}))
     assert run(["--config", str(cfg)]) == 2
     assert not (tmp_path / "never.report.json").exists()
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["weakid", "--example", "1", "--z", "-1.03,1.29,2.77", "--grid", "401",
+      "--eps", "1e-7", "--seed", "3"],
+     {"command": "weakid", "example": 1, "z": "-1.03,1.29,2.77", "grid": 401,
+      "eps": 1e-7, "seed": 3}),
+    (["mixture", "--n", "30", "--starts", "10", "--weights", "0.4,0.6",
+      "--means", "-1,2", "--seed", "2", "--force"],
+     {"command": "mixture", "n": 30, "starts": 10, "weights": "0.4,0.6",
+      "means": "-1,2", "seed": 2, "force": True}),
+    (["penalized", "--penalty", "mcp", "--lam", "0.5", "--gamma", "2.5",
+      "--n", "12", "--d", "3", "--seed", "4"],
+     {"command": "penalized", "penalty": "mcp", "lam": 0.5, "gamma": 2.5,
+      "n": 12, "d": 3, "seed": 4}),
+    (["threshold", "--paths", "20", "--grid-size", "201", "--m-bound", "4",
+      "--eps-schedule", "1e-2,1e-3", "--seed", "5"],
+     {"command": "threshold", "paths": 20, "grid_size": 201, "m_bound": 4,
+      "eps_schedule": "1e-2,1e-3", "seed": 5}),
+    (["generic-check", "--model", "example1", "--resolution", "5",
+      "--tol", "1e-6", "--z", "0.5,-0.25,1"],
+     {"command": "generic-check", "model": "example1", "resolution": 5,
+      "tol": 1e-6, "z": "0.5,-0.25,1"}),
+], ids=["weakid", "mixture", "penalized", "threshold", "generic-check"])
+def test_config_file_matches_flags(tmp_path, argv, config):
+    """The same settings as flags and as a config file give the same bytes."""
+    assert run(argv + ["--out", str(tmp_path / "flags")]) == 0
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({**config, "out": str(tmp_path / "file")}))
+    assert run(["--config", str(cfg)]) == 0
+    outputs = sorted(p.name[len("flags"):] for p in tmp_path.glob("flags.*"))
+    assert outputs[-1] == ".report.json"
+    for suffix in outputs:
+        assert (tmp_path / f"flags{suffix}").read_bytes() == \
+            (tmp_path / f"file{suffix}").read_bytes()
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -230,6 +269,13 @@ def test_config_hash_tracks_tolerances(tmp_path):
     ["weakid", "--example", "1", "--z=-1.03,1.29,2.77", "--delta", "nan"],
     ["weakid", "--example", "1", "--z=-1.03,1.29,2.77", "--delta", "0"],
     ["threshold", "--m-bound", "inf"],
+    ["weakid", "--draws", "2", "--pi-bound", "inf"],
+    ["penalized", "--lam", "inf"],
+    ["penalized", "--a", "inf"],
+    ["penalized", "--penalty", "mcp", "--gamma", "inf"],
+    ["generic-check", "--tol", "inf"],
+    ["mixture", "--n", "20", "--starts", "3", "--weights", "0.5,0.5",
+     "--means", "0,1e308"],
 ], ids=["penalized-lam", "penalized-q", "threshold-grid", "mixture-components",
         "weakid-grid", "threshold-paths-0", "penalized-d-0", "weakid-pi-bound",
         "threshold-paths-negative", "threshold-eps-increasing",
@@ -241,7 +287,9 @@ def test_config_hash_tracks_tolerances(tmp_path):
         "generic-check-tol-nan", "generic-check-example1-z-length",
         "generic-check-quadratic-z-length", "weakid-eps-nan",
         "weakid-eps-negative", "weakid-delta-nan", "weakid-delta-zero",
-        "threshold-m-bound-inf"])
+        "threshold-m-bound-inf", "weakid-pi-bound-inf", "penalized-lam-inf",
+        "penalized-a-inf", "penalized-gamma-inf", "generic-check-tol-inf",
+        "mixture-tied-sample"])
 def test_invalid_settings_exit_2_without_outputs(tmp_path, args, capsys):
     (tmp_path / "repeated.csv").write_text("z\n0.5\n1.5\n0.5\n")
     (tmp_path / "empty.csv").write_text("z\n")

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from argmin_unique import (Domain, FDConfig, Objective, box,
+from argmin_unique import (Domain, Objective, box,
                            DegenerateObjective, InvalidDirection,
                            directional_derivative_t, eval_objective, grad_z,
                            make_example1)
 from argmin_unique.mixture import nll_objective
-from argmin_unique.weakid import limit_objective
+from argmin_unique.weakid import limit_objective, with_pi_bound
 
 from oracles import ex1_roots, fd_gradient
 
@@ -32,9 +32,15 @@ def test_box_rejects_bad_order_indices():
         box([0.0, 0.0], [1.0, 1.0], order_constraints=((0, 5),))
 
 
-def test_fd_config_requires_positive_step():
+@pytest.mark.parametrize("build", [
+    lambda: box([0.0, -np.inf], [1.0, 1.0]),
+    lambda: box([0.0], [np.inf]),
+    lambda: make_example1(pi_bound=np.inf),
+    lambda: with_pi_bound(make_example1(), np.inf),
+], ids=["lower-inf", "upper-inf", "example1-pi-bound", "with-pi-bound"])
+def test_box_rejects_non_finite_bounds(build):
     with pytest.raises(ValueError):
-        FDConfig(step=0.0)
+        build()
 
 
 def test_domain_rejects_overlapping_pieces():

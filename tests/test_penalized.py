@@ -52,6 +52,15 @@ def test_spec_validation():
         PenaltySpec(kind="mcp", lam=1.0, gamma=1.0)
 
 
+@pytest.mark.parametrize("kind,field,value", [
+    ("scad", "lam", np.inf), ("l0", "q", np.inf), ("scad", "a", np.inf),
+    ("l0", "a", np.nan), ("mcp", "gamma", np.inf), ("l0", "gamma", np.nan),
+])
+def test_spec_rejects_non_finite_constants(kind, field, value):
+    with pytest.raises(ValueError):
+        PenaltySpec(kind=kind, **{"lam": 1.0, field: value})
+
+
 def test_data_requires_full_rank():
     with pytest.raises(ValueError):
         RegressionData(y=(1.0, 2.0), x=((1.0, 2.0), (2.0, 4.0)))
