@@ -27,7 +27,7 @@ from .mixture import (MixtureModel, MixtureParams, MixtureSample, fit_mle,
 from .penalized import PenaltySpec, RegressionData, global_minimize
 from .serialize import config_hash, write_csv, write_report
 from .threshold import GPSpec, argmin_uniqueness_trial, trial_settings
-from .weakid import make_example1, make_example2, profile
+from .weakid import grid_profile, make_example1, make_example2
 
 KAPPA_NOTE = "kappa term assumed identically zero in this profile"
 
@@ -91,10 +91,11 @@ def cmd_weakid(args) -> dict:
     if len(z) != model.d_z:
         raise ConfigError(f"z must have {model.d_z} components")
     report = model.detect(z, cfg)
-    pis = np.linspace(-args.pi_bound, args.pi_bound, args.grid)
+    # at --grid >= 201 this is the detector's own grid, already cached
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     write_csv(f"{args.out}.profile.csv", ["pi", "Q"],
-              (pis, profile(model, pis, z)), comments=[KAPPA_NOTE])
+              grid_profile(model, -args.pi_bound, args.pi_bound, args.grid, z),
+              comments=[KAPPA_NOTE])
     return {"argmin": report.to_dict(), "kappa_note": KAPPA_NOTE}
 
 
@@ -187,11 +188,11 @@ def cmd_generic_check(args) -> dict:
 def cmd_reproduce_figures(args) -> None:
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    pis = np.linspace(-6.0, 6.0, 1201)
+    models = {number: _example_model(number, pi_bound=6.0)
+              for number in (1, 2)}
     for name, number, z in FIGURE_CASES:
-        model = _example_model(number, pi_bound=6.0)
-        q = profile(model, pis, np.asarray(z))
-        write_csv(outdir / f"{name}.csv", ["pi", "Q"], (pis, q),
+        write_csv(outdir / f"{name}.csv", ["pi", "Q"],
+                  grid_profile(models[number], -6.0, 6.0, 1201, np.asarray(z)),
                   comments=[KAPPA_NOTE, f"z={','.join(str(v) for v in z)}"])
 
 
@@ -283,7 +284,12 @@ def _build_parser() -> tuple:
 
 
 def _args_from_config(path: str, parser: argparse.ArgumentParser, commands):
-    """Parse a JSON config whose keys are a command's flags in dest form."""
+    """Parse a JSON config whose keys are a command's flags in dest form.
+
+    A list value is passed as its entries' reprs joined by commas, so a
+    report's recorded config replays as a config file.  A boolean sets a
+    switch; for a flag that takes a value it is a configuration error.
+    """
     try:
         with open(path) as handle:
             raw = json.load(handle)
@@ -294,8 +300,9 @@ def _args_from_config(path: str, parser: argparse.ArgumentParser, commands):
     command = raw["command"]
     if command not in commands:
         raise ConfigError(f"unknown command {command!r}")
-    allowed = set(vars(commands[command].parse_args([]))) - {"func"}
-    unknown = set(raw) - allowed - {"command"}
+    defaults = vars(commands[command].parse_args([]))
+    del defaults["func"]
+    unknown = set(raw) - set(defaults) - {"command"}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     argv = [command]
@@ -304,8 +311,12 @@ def _args_from_config(path: str, parser: argparse.ArgumentParser, commands):
             continue
         flag = "--" + key.replace("_", "-")
         if isinstance(value, bool):
+            if not isinstance(defaults[key], bool):
+                raise ConfigError(f"{key} takes a value, not a boolean")
             if value:
                 argv.append(flag)
+        elif isinstance(value, list):
+            argv.append(f"{flag}={','.join(map(repr, value))}")
         else:
             argv.append(f"{flag}={value}")
     return parser.parse_args(argv)

@@ -46,7 +46,7 @@ class MultistartConfig:
 DEFAULT_CONFIG = MultistartConfig()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cluster:
     representative: tuple
     value: float
@@ -57,7 +57,7 @@ class Cluster:
                 "value": self.value, "hits": self.hits}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArgminReport:
     """Clustered near-optimal points plus the tolerances that produced them."""
 
@@ -475,7 +475,7 @@ class ZModel(Protocol):
     def detect(self, z, cfg: MultistartConfig) -> ArgminReport: ...
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MultiplicityEstimate:
     fraction: float
     standard_error: float

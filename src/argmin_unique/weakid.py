@@ -48,7 +48,9 @@ class WeakIdModel:
     ``(G, d_h, d_beta)`` array, which speeds up profile evaluation.  When
     ``h_beta`` is None it is filled in by central differences of ``h``.
     ``kappa`` is a deterministic offset in pi (None means 0); the z-sampler
-    defaults to a standard normal of dimension d_beta + d_h.
+    defaults to a standard normal of dimension d_beta + d_h.  ``h_beta``
+    and ``kappa`` must be pure functions: whole-grid profiles cache their
+    values on the model (``grid_profile``).
     """
 
     d_beta: int
@@ -98,6 +100,16 @@ class WeakIdModel:
     @cached_property
     def _hb_at_pi0(self) -> np.ndarray:
         return self.h_beta_at(self.pi0)
+
+    @cached_property
+    def _grid_parts(self) -> dict:
+        """z-free parts of whole-grid profiles, keyed by (lo, hi, G).
+
+        Filled only by ``grid_profile``, so it holds one entry per grid and
+        never grows with the points of ``profile`` calls.  It lives on the
+        instance: a ``replace``d copy (``with_pi_bound``) starts empty.
+        """
+        return {}
 
     def h_beta_at(self, pi) -> np.ndarray:
         if self.h_beta is not None:
@@ -186,19 +198,64 @@ def limit_objective_grad_z(model: WeakIdModel, pi, z) -> np.ndarray:
     return 2.0 * model.sqrt_H @ (comps.g - comps.P @ v)
 
 
-def profile(model: WeakIdModel, pis, z) -> np.ndarray:
-    """Q(pi, z) on a 1-d grid of pi values (batched linear algebra)."""
+@dataclass(frozen=True, slots=True)
+class _GridPart:
+    """The z-free part of Q(., z) on a pi grid."""
+
+    pis: np.ndarray   # (G,)
+    S: np.ndarray     # (G, d_z, d_beta) frames
+    g: np.ndarray     # (G, d_z) drifts
+    StS: np.ndarray   # (G, d_beta, d_beta) Gram matrices
+    kap: object       # (G,) kappa values, or 0.0 without kappa
+
+
+def _grid_part(model: WeakIdModel, pis) -> _GridPart:
     pis = np.asarray(pis, dtype=float).ravel()
     S, g = _frames(model, pis)
-    Hz = model.sqrt_H @ as_vector(z)
-    St = np.swapaxes(S, 1, 2)
-    Sv = St @ (Hz + g)[..., None]
-    quad = np.einsum("gjk,gjk->g", Sv, np.linalg.solve(St @ S, Sv))
+    StS = np.swapaxes(S, 1, 2) @ S
     if model.kappa is None:
         kap = 0.0
     else:
         kap = np.asarray([model.kappa_at(p) for p in pis])
-    return 2.0 * g @ Hz - quad + kap
+    return _GridPart(pis=pis, S=S, g=g, StS=StS, kap=kap)
+
+
+def _profile_part(model: WeakIdModel, part: _GridPart, z) -> np.ndarray:
+    """Q(pi, z) on ``part``'s grid: the per-draw half of ``profile``."""
+    Hz = model.sqrt_H @ as_vector(z)
+    St = np.swapaxes(part.S, 1, 2)
+    Sv = St @ (Hz + part.g)[..., None]
+    quad = np.einsum("gjk,gjk->g", Sv, np.linalg.solve(part.StS, Sv))
+    return 2.0 * part.g @ Hz - quad + part.kap
+
+
+def profile(model: WeakIdModel, pis, z) -> np.ndarray:
+    """Q(pi, z) on a 1-d array of pi values (batched linear algebra).
+
+    Builds the z-free part (frames, drifts, Gram matrices, kappa) for these
+    points and drops it; ``grid_profile`` keeps it for a whole grid.  Both
+    run the same arithmetic, so they give the same bits.
+    """
+    return _profile_part(model, _grid_part(model, pis), z)
+
+
+def grid_profile(model: WeakIdModel, lo: float, hi: float, G: int,
+                 z) -> tuple:
+    """(pis, Q(pis, z)) on ``np.linspace(lo, hi, G)``.
+
+    The z-free part of the grid is built once per model and cached on it
+    under (lo, hi, G), so a Monte Carlo run over one grid pays only for
+    the per-draw half.  The returned ``pis`` are read-only.
+    """
+    key = (float(lo), float(hi), int(G))
+    part = model._grid_parts.get(key)
+    if part is None:
+        part = _grid_part(model, np.linspace(*key))
+        for arr in (part.pis, part.S, part.g, part.StS, part.kap):
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
+        model._grid_parts[key] = part
+    return part.pis, _profile_part(model, part, z)
 
 
 def _grid_dips(values: np.ndarray) -> np.ndarray:
@@ -244,17 +301,19 @@ def profile_report(model: WeakIdModel, z,
     """Dense-grid detector for 1-d pi domains: grid dips refined in brackets.
 
     Deterministic (no randomness: the starts are the grid itself).  The
-    grid has cfg.n_starts points per piece, at least 201.  Every dip is
-    refined by ``_refine_dips`` to 1e-10 in pi and yields one candidate, so
-    the converged fraction is 1.
+    grid has cfg.n_starts points per piece, at least 201; its profile comes
+    from ``grid_profile``, so repeated draws on one model reuse the grid's
+    frames and Gram matrices.  Every dip is refined by ``_refine_dips`` to
+    1e-10 in pi through uncached ``profile`` calls and yields one
+    candidate, so the converged fraction is 1.
     """
     z = as_vector(z)
     G = max(cfg.n_starts, 201)
     candidates = []
     for piece in model.pi_domain.pieces:
-        pis = np.linspace(piece.lower[0], piece.upper[0], G)
-        xs, qs = _refine_dips(lambda p: profile(model, p, z), pis,
-                              profile(model, pis, z), xtol=1e-10)
+        pis, qs = grid_profile(model, piece.lower[0], piece.upper[0], G, z)
+        xs, qs = _refine_dips(lambda p: profile(model, p, z), pis, qs,
+                              xtol=1e-10)
         candidates += [(np.array([x]), float(q)) for x, q in zip(xs, qs)]
     return build_report(candidates, 1.0, model.pi_domain.diameter(), cfg)
 

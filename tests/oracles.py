@@ -442,3 +442,23 @@ def multistart_reference(obj, domain, z, cfg):
                for t0 in _sobol_starts(piece, per_piece, (cfg.seed, p_idx))]
     return report_descents(results, domain.diameter(), cfg)
 
+
+
+def profile_report_reference(model, z, cfg):
+    """The weakid dense-grid detector with every grid profile uncached.
+
+    The package's ``profile_report`` with its grid values from a fresh
+    ``profile`` call per draw instead of the model's cached grid part.
+    Returns the ArgminReport.
+    """
+    from argmin_unique.globalopt import build_report
+    from argmin_unique.weakid import _refine_dips, profile
+
+    G = max(cfg.n_starts, 201)
+    candidates = []
+    for piece in model.pi_domain.pieces:
+        pis = np.linspace(piece.lower[0], piece.upper[0], G)
+        xs, qs = _refine_dips(lambda p: profile(model, p, z), pis,
+                              profile(model, pis, z), xtol=1e-10)
+        candidates += [(np.array([x]), float(q)) for x, q in zip(xs, qs)]
+    return build_report(candidates, 1.0, model.pi_domain.diameter(), cfg)

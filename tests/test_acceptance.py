@@ -7,11 +7,15 @@ lines.  Tolerances are fixed here, not tuned at runtime.
 import json
 import math
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import argmin_unique
 from argmin_unique import (MixtureParams, MixtureSample, MultistartConfig,
                            PenaltySpec, RegressionData, UnrestrictedParams,
                            argmin_set_expand, argmin_uniqueness_trial,
@@ -309,7 +313,20 @@ def test_criterion_9_genericity_scanner():
                 f"{len(ex1_report.degenerate)} (margins within tol: {margins_ok})")
 
 
+# runs every argv of the JSON list in sys.argv[1] through the CLI
+RUN_COMMANDS = ("import json, sys\n"
+                "from argmin_unique.cli import main\n"
+                "for argv in json.loads(sys.argv[1]):\n"
+                "    assert main(argv) == 0, argv\n")
+
+
 def test_criterion_10_determinism_across_workers(tmp_path):
+    """Each command's outputs are byte-identical across four runs.
+
+    Two runs in this process (the second sees any state a cache kept from
+    the first) and one in a fresh process each with one and with two
+    OpenBLAS threads, the only worker count the package still has.
+    """
     commands = {
         "weakid-single": ["weakid", "--example", "1", "--z", "-1.03,1.29,2.77",
                           "--seed", "11"],
@@ -324,24 +341,29 @@ def test_criterion_10_determinism_across_workers(tmp_path):
         "generic-check": ["generic-check", "--model", "quadratic",
                           "--resolution", "5", "--seed", "11"],
     }
+    runs = ("first", "second", "blas1", "blas2")
+    for name, argv in commands.items():
+        for run in runs[:2]:
+            code = cli_main(argv + ["--out", str(tmp_path / f"{name}-{run}")])
+            assert code == 0, f"{name} exited {code}"
+    src = str(Path(argmin_unique.__file__).parents[1])
+    for run, threads in (("blas1", "1"), ("blas2", "2")):
+        argvs = [argv + ["--out", str(tmp_path / f"{name}-{run}")]
+                 for name, argv in commands.items()]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-c", RUN_COMMANDS, json.dumps(argvs)],
+                       env=env, check=True)
     ok = True
     details = []
-    old = os.environ.get("ARGMIN_UNIQUE_THREADS")
-    try:
-        for name, argv in commands.items():
-            outputs = {}
-            for workers in ("1", "8"):
-                os.environ["ARGMIN_UNIQUE_THREADS"] = workers
-                out = tmp_path / f"{name}-w{workers}"
-                code = cli_main(argv + ["--out", str(out)])
-                assert code == 0, f"{name} exited {code}"
-                outputs[workers] = (out.parent / f"{out.name}.report.json").read_bytes()
-            same = outputs["1"] == outputs["8"]
-            ok &= same
-            details.append(f"{name}:{'=' if same else '!='}")
-    finally:
-        if old is None:
-            os.environ.pop("ARGMIN_UNIQUE_THREADS", None)
-        else:
-            os.environ["ARGMIN_UNIQUE_THREADS"] = old
+    for name in commands:
+        suffixes = sorted(p.name[len(f"{name}-first"):]
+                          for p in tmp_path.glob(f"{name}-first.*"))
+        same = suffixes[-1] == ".report.json" and all(
+            len({(tmp_path / f"{name}-{run}{suffix}").read_bytes()
+                 for run in runs}) == 1
+            for suffix in suffixes)
+        ok &= same
+        details.append(f"{name}:{'=' if same else '!='}")
     report_line(10, "byte-identical-reports", ok, " ".join(details))

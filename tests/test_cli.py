@@ -151,7 +151,7 @@ def test_config_file_mode(tmp_path):
     assert (tmp_path / "cfgrun.report.json").exists()
 
 
-def test_malformed_config_exits_2_without_outputs(tmp_path):
+def test_malformed_config_exits_2_without_outputs(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{not json")
     assert run(["--config", str(cfg)]) == 2
@@ -164,10 +164,16 @@ def test_malformed_config_exits_2_without_outputs(tmp_path):
         assert run(["--config", str(cfg)]) == 2, key
     cfg.write_text(json.dumps({"command": "unknown-cmd"}))
     assert run(["--config", str(cfg)]) == 2
+    # a boolean sets a switch; a flag that takes a value rejects one
+    for key in ("seed", "z", "pi_bound", "eps"):
+        cfg.write_text(json.dumps({"command": "weakid", "draws": 1, key: True,
+                                   "out": str(tmp_path / "never")}))
+        assert run(["--config", str(cfg)]) == 2, key
+        assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "never.report.json").exists()
 
 
-@pytest.mark.parametrize("argv,config", [
+CONFIG_CASES = [
     (["weakid", "--example", "1", "--z", "-1.03,1.29,2.77", "--grid", "401",
       "--eps", "1e-7", "--seed", "3"],
      {"command": "weakid", "example": 1, "z": "-1.03,1.29,2.77", "grid": 401,
@@ -188,18 +194,40 @@ def test_malformed_config_exits_2_without_outputs(tmp_path):
       "--tol", "1e-6", "--z", "0.5,-0.25,1"],
      {"command": "generic-check", "model": "example1", "resolution": 5,
       "tol": 1e-6, "z": "0.5,-0.25,1"}),
-], ids=["weakid", "mixture", "penalized", "threshold", "generic-check"])
+]
+CONFIG_IDS = ["weakid", "mixture", "penalized", "threshold", "generic-check"]
+
+
+def assert_same_outputs(tmp_path, a, b):
+    """Every output of run ``a`` exists for ``b`` with the same bytes."""
+    outputs = sorted(p.name[len(a):] for p in tmp_path.glob(f"{a}.*"))
+    assert outputs[-1] == ".report.json"
+    for suffix in outputs:
+        assert (tmp_path / f"{a}{suffix}").read_bytes() == \
+            (tmp_path / f"{b}{suffix}").read_bytes()
+
+
+@pytest.mark.parametrize("argv,config", CONFIG_CASES, ids=CONFIG_IDS)
 def test_config_file_matches_flags(tmp_path, argv, config):
     """The same settings as flags and as a config file give the same bytes."""
     assert run(argv + ["--out", str(tmp_path / "flags")]) == 0
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({**config, "out": str(tmp_path / "file")}))
     assert run(["--config", str(cfg)]) == 0
-    outputs = sorted(p.name[len("flags"):] for p in tmp_path.glob("flags.*"))
-    assert outputs[-1] == ".report.json"
-    for suffix in outputs:
-        assert (tmp_path / f"flags{suffix}").read_bytes() == \
-            (tmp_path / f"file{suffix}").read_bytes()
+    assert_same_outputs(tmp_path, "flags", "file")
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in CONFIG_CASES],
+                         ids=CONFIG_IDS)
+def test_report_config_replays(tmp_path, argv):
+    """A report's config, written back as a config file, gives its bytes."""
+    assert run(argv + ["--out", str(tmp_path / "flags")]) == 0
+    report = read_report(tmp_path / "flags")
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({**report["config"], "command": report["command"],
+                               "out": str(tmp_path / "replay")}))
+    assert run(["--config", str(cfg)]) == 0
+    assert_same_outputs(tmp_path, "flags", "replay")
 
 
 def test_rerun_is_byte_identical(tmp_path):

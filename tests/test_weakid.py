@@ -7,10 +7,11 @@ from argmin_unique import (MultistartConfig, check_injectivity_condition,
                            limit_objective, make_example1, make_example2,
                            profile, profile_report)
 from argmin_unique.globalopt import seed_key
-from argmin_unique.weakid import (WeakIdModel, limit_objective_grad_z,
-                                  with_pi_bound)
+from argmin_unique.weakid import (WeakIdModel, grid_profile,
+                                  limit_objective_grad_z, with_pi_bound)
 
-from oracles import ex1_roots, ex1_value, ex2_roots, ex2_value, fd_gradient
+from oracles import (ex1_roots, ex1_value, ex2_roots, ex2_value, fd_gradient,
+                     profile_report_reference)
 
 
 def bilinear_model():
@@ -289,3 +290,73 @@ def test_profile_report_keeps_flat_valley_in_one_cluster():
     got = sorted(c.representative[0] for c in report.clusters)
     for pi, r in zip(got, sorted(ex1_roots(z))):
         assert abs(pi - r) <= 1e-3 * (1 + abs(r))
+
+
+# ------------------------------------------------------- cached grid parts
+
+CRITERION3_CFG = MultistartConfig(n_starts=4001, delta_cluster=0.05)
+
+
+@pytest.mark.parametrize("factory", [
+    lambda: with_pi_bound(make_example1(), 200.0),
+    make_example2,
+    lambda: make_example1(kappa=lambda pi: 0.3 * pi * pi),
+], ids=["example1-200", "example2", "example1-kappa"])
+def test_cached_detect_matches_uncached_profile(factory):
+    """detect on the cached grid part gives the uncached path's bits.
+
+    Criterion 3's seed and grid; the first 200 of its draws, all on one
+    model, so every draw after the first reuses the cached grid.
+    """
+    m = factory()
+    lo, hi = m.pi_domain.pieces[0].lower[0], m.pi_domain.pieces[0].upper[0]
+    for i in range(200):
+        rng = np.random.default_rng(np.random.SeedSequence(seed_key(2024, i)))
+        z = m.sample_z(rng)
+        pis, q = grid_profile(m, lo, hi, 4001, z)
+        assert np.array_equal(q, profile(m, pis, z))
+        assert m.detect(z, CRITERION3_CFG) == \
+            profile_report_reference(m, z, CRITERION3_CFG)
+    assert list(m._grid_parts) == [(lo, hi, 4001)]
+
+
+def test_grid_cache_belongs_to_its_model():
+    """Models that differ only in b, H or kappa never share a grid part.
+
+    Each model is dropped before the next is built, so a cache keyed by
+    ``id(model)`` would hand a new model a freed one's stale grid.
+    """
+    z = np.array([0.4, -1.1, 0.7])
+    H = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.2], [0.0, 0.2, 1.5]])
+    variants = [{}, {"b": (0.5, -0.2)}, {"H": H},
+                {"kappa": lambda pi: 0.3 * pi * pi}, {"b": (-1.0, 0.1)}]
+    seen = []
+    for kwargs in variants:
+        m = make_example1(**kwargs)
+        pis, q = grid_profile(m, -6.0, 6.0, 1201, z)
+        assert np.array_equal(q, profile(m, pis, z))
+        assert not any(np.array_equal(q, other) for other in seen)
+        seen.append(q)
+        del m
+    base = make_example1()
+    grid_profile(base, -6.0, 6.0, 1201, z)
+    same = with_pi_bound(base, 6.0)
+    assert same._grid_parts == {} and len(base._grid_parts) == 1
+    wide = with_pi_bound(base, 200.0)
+    assert wide.detect(z, CRITERION3_CFG) == \
+        profile_report_reference(wide, z, CRITERION3_CFG)
+    assert list(wide._grid_parts) == [(-200.0, 200.0, 4001)]
+
+
+def test_cached_grid_part_is_read_only():
+    m = make_example1(kappa=lambda pi: 0.3 * pi * pi)
+    pis, _ = grid_profile(m, -6.0, 6.0, 201, np.zeros(3))
+    (part,) = m._grid_parts.values()
+    for arr in (pis, part.pis, part.S, part.g, part.StS, part.kap):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    # uncached calls leave the caller's points writeable and cache nothing
+    points = np.linspace(-1.0, 1.0, 5)
+    profile(m, points, np.zeros(3))
+    assert points.flags.writeable and len(m._grid_parts) == 1
