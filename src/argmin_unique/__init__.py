@@ -8,11 +8,10 @@ probability of multiple global minimizers by Monte Carlo.
 
 __version__ = "0.1.0"
 
-from .domain import (Box, Domain, Objective, box, interval_domain,
-                     directional_derivative_t, eval_objective, grad_z)
+from .domain import (Box, Domain, Objective, box, directional_derivative_t,
+                     eval_objective, grad_z)
 from .errors import (ConfigError, DegenerateObjective, DiagnosticsError,
-                     ExplicitBound, InvalidDirection, KernelNotPSD,
-                     NotDistinct, SingularDesign)
+                     ExplicitBound, InvalidDirection, KernelNotPSD, NotDistinct)
 from .genericity import (GenericityVerdict, ScanReport, check_triple,
                          objective_gap, scan_grid)
 from .globalopt import (ArgminReport, Cluster, MultiplicityEstimate,
@@ -28,9 +27,9 @@ from .penalized import (PenaltySpec, PenalizedModel, RegressionData,
                         multistart_global_minimize, partition_domain,
                         penalized_objective, penalty_value)
 from .threshold import (GPPath, GPSpec, TrialReport, argmin_uniqueness_trial,
-                        limit_objective_path, objective_profile, simulate_path)
+                        objective_profile, simulate_path)
 from .weakid import (InjectivityReport, LimitComponents, RankConditionReport,
                      WeakIdModel, check_injectivity_condition,
-                     check_rank_condition, count_alignment_roots,
-                     find_alignment_roots, limit_components, limit_objective,
-                     make_example1, make_example2, profile, profile_report)
+                     check_rank_condition, find_alignment_roots,
+                     limit_components, limit_objective, make_example1,
+                     make_example2, profile, profile_report)

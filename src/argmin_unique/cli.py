@@ -80,6 +80,9 @@ def cmd_weakid(args) -> dict:
                        pi_bound=args.pi_bound)
     if not args.z and args.draws < 1:
         raise ConfigError("need --z (single draw) or --draws >= 1 (Monte Carlo)")
+    if args.z and args.draws >= 1:
+        raise ConfigError("--z (single draw) and --draws (Monte Carlo) "
+                          "exclude each other")
     # one detector for both modes: the model's dense grid of --grid points
     cfg = _validated(MultistartConfig, seed=args.seed, n_starts=args.grid,
                      eps_value=args.eps, delta_cluster=args.delta)
@@ -111,6 +114,9 @@ def cmd_mixture(args) -> dict:
                            fit_J=args.components)
         rng = np.random.default_rng(args.seed)
         sample = _validated(MixtureSample, z=tuple(model.sample_z(rng)))
+    if args.components ** 2 > sample.n and not args.force:
+        raise ConfigError(f"--components {args.components} exceeds sqrt(n) = "
+                          f"{math.sqrt(sample.n):.3f}; pass --force to fit anyway")
     cfg = _validated(MultistartConfig, seed=args.seed, n_starts=args.starts)
     report = fit_mle(sample, args.components, cfg, force=args.force)
     if not report.clusters:

@@ -326,10 +326,6 @@ def box(lower, upper, **kwargs) -> Box:
                upper=tuple(np.atleast_1d(np.asarray(upper, float))), **kwargs)
 
 
-def interval_domain(lo: float, hi: float) -> Domain:
-    return Domain(pieces=(box(lo, hi),))
-
-
 def mesh_points(boxes: Sequence[Box], resolution: int) -> np.ndarray:
     """Points of a ``resolution``-per-axis mesh over each box's bounds that
     the box contains, box by box, as a (k, d) array."""

@@ -17,17 +17,13 @@ class NotDistinct(DiagnosticsError):
     """The two compared points coincide within the separation tolerance."""
 
 
-class SingularDesign(DiagnosticsError):
-    """A design/Gram matrix that should be invertible turned out singular."""
-
-
 class KernelNotPSD(DiagnosticsError):
     """Covariance matrix could not be factorized even after jitter escalation."""
 
 
-class ExplicitBound(DiagnosticsError):
-    """Requested enumeration exceeds the hard-coded combinatorial bound."""
-
-
 class ConfigError(DiagnosticsError):
     """Invalid experiment configuration (bad schema, unknown keys, bad values)."""
+
+
+class ExplicitBound(ConfigError):
+    """Requested enumeration exceeds the hard-coded combinatorial bound."""

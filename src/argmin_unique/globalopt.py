@@ -428,7 +428,11 @@ def report_descents(results: Sequence, diameter: float,
 
 def value_function(obj: Objective, K: Box, z, grid: int = 1024,
                    cfg: MultistartConfig = DEFAULT_CONFIG) -> float:
-    """inf of Q(., z) over the box K: dense grid seeding plus local polish."""
+    """inf of Q(., z) over the box K: dense grid seeding plus local polish.
+
+    The paper's value function over one piece of the domain: a tie between
+    two pieces is a tie between their value functions.
+    """
     z = as_vector(z)
     if K.intrinsic_dim == 0:
         return eval_objective(obj, K.anchor, z)

@@ -30,48 +30,6 @@ MEAN_BOUND = 10.0
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def _check_weights(weights: tuple) -> None:
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or len(w) < 1:
-        raise ValueError("weights must be a nonempty vector")
-    if np.any(w < WEIGHT_FLOOR):
-        raise ValueError(f"weights must be at least {WEIGHT_FLOOR}")
-    if abs(w.sum() - 1.0) > 1e-12:
-        raise ValueError("weights must sum to 1 within 1e-12")
-
-
-@dataclass(frozen=True)
-class MixtureParams:
-    """Ordered-chart parameters: strictly increasing means."""
-
-    weights: tuple
-    means: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        object.__setattr__(self, "means", tuple(float(m) for m in self.means))
-        if not np.all(np.isfinite(self.weights + self.means)):
-            raise ValueError("weights and means must be finite")
-        _check_weights(self.weights)
-        if len(self.means) != len(self.weights):
-            raise ValueError("weights and means must have equal length")
-        mu = np.asarray(self.means)
-        if np.any(np.diff(mu) < MEAN_GAP):
-            raise ValueError(f"means must increase by at least {MEAN_GAP}")
-
-    @property
-    def n_components(self) -> int:
-        return len(self.weights)
-
-    @cached_property
-    def weights_arr(self) -> np.ndarray:
-        return np.asarray(self.weights)
-
-    @cached_property
-    def means_arr(self) -> np.ndarray:
-        return np.asarray(self.means)
-
-
 @dataclass(frozen=True)
 class UnrestrictedParams:
     """Unordered means, ties allowed; weights positive summing to one."""
@@ -103,6 +61,18 @@ class UnrestrictedParams:
     @cached_property
     def means_arr(self) -> np.ndarray:
         return np.asarray(self.means)
+
+
+class MixtureParams(UnrestrictedParams):
+    """Ordered-chart parameters: an unrestricted point whose weights are at
+    least WEIGHT_FLOOR and whose means increase by at least MEAN_GAP."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        if np.any(self.weights_arr < WEIGHT_FLOOR):
+            raise ValueError(f"weights must be at least {WEIGHT_FLOOR}")
+        if np.any(np.diff(self.means_arr) < MEAN_GAP):
+            raise ValueError(f"means must increase by at least {MEAN_GAP}")
 
 
 @dataclass(frozen=True)
@@ -220,7 +190,11 @@ def params_from_point(point, J: int) -> MixtureParams:
 
 
 def nll_objective(J: int) -> Objective:
-    """Objective over the ordered chart; z is the full flattened sample."""
+    """Objective over the ordered chart; z is the full flattened sample.
+
+    The mixture likelihood as an ``Objective``, so the genericity checks of
+    conditions (a)-(d) apply to the mixture example.
+    """
 
     def fn(t, z):
         w = np.clip(t[:J], WEIGHT_FLOOR, None)
@@ -356,40 +330,6 @@ class ArgminSet:
                 means=tuple(p[1] for p in perm)))
         return tuple(members)
 
-    def enumerate_representatives(self, steps: int = 4) -> tuple:
-        """Representative reweightings on a simplex grid (tie groups only)."""
-        groups = []
-        for mu_k, w_k in zip(self.distinct_means, self.weight_per_mean):
-            size = int(np.sum(np.abs(self.source.means_arr - mu_k) <= 1e-9))
-            groups.append((mu_k, w_k, size))
-        reps = [()]
-        for mu_k, w_k, size in groups:
-            extended = []
-            for prefix in reps:
-                for combo in _simplex_grid(size, w_k, steps):
-                    extended.append(prefix + tuple((c, mu_k) for c in combo))
-            reps = extended
-        out = []
-        for rep in reps:
-            w = tuple(p[0] for p in rep)
-            m = tuple(p[1] for p in rep)
-            total = sum(w)
-            w = tuple(v / total for v in w)
-            out.append(UnrestrictedParams(weights=w, means=m))
-        return tuple(out)
-
-
-def _simplex_grid(size: int, total: float, steps: int) -> list:
-    """Interior grid points of the scaled simplex {w > 0, sum w = total}."""
-    if size == 1:
-        return [(total,)]
-    out = []
-    for cuts in itertools.product(range(1, steps), repeat=size - 1):
-        parts = np.diff([0, *sorted(cuts), steps]) / steps * total
-        if np.all(parts > 0):
-            out.append(tuple(parts))
-    return sorted(set(out))
-
 
 def argmin_set_expand(best: UnrestrictedParams) -> ArgminSet:
     """Describe the full unrestricted argmin set generated by one minimizer."""
@@ -439,11 +379,3 @@ def read_sample_csv(path) -> MixtureSample:
             except ValueError:
                 continue  # header line
     return MixtureSample(z=tuple(values))
-
-
-def write_sample_csv(path, sample: MixtureSample) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["z"])
-        for v in sample.z:
-            writer.writerow([repr(v)])

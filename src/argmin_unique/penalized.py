@@ -81,16 +81,6 @@ def penalty_terms(spec: PenaltySpec, t: np.ndarray) -> tuple:
     return rho, np.maximum(lam - t / g, 0.0)
 
 
-def penalty_rho(spec: PenaltySpec, t: float) -> float:
-    """Per-coordinate penalty at |beta_k| = t >= 0."""
-    return float(penalty_terms(spec, np.abs(as_vector(t)))[0][0])
-
-
-def scad_derivative(spec: PenaltySpec, t: float) -> float:
-    """scad slope: lam for t <= lam, then the linear clip down to zero."""
-    return float(penalty_terms(spec, np.abs(as_vector(t)))[1][0])
-
-
 def penalty_value(spec: PenaltySpec, beta) -> float:
     """Separable penalty sum_k rho(|beta_k|); zero at beta = 0."""
     b = as_vector(beta)
@@ -316,8 +306,3 @@ class PenalizedModel:
     def detect(self, z, cfg: MultistartConfig) -> ArgminReport:
         data = RegressionData(y=tuple(z), x=self.x)
         return global_minimize(self.spec, data, cfg)
-
-
-def ols_solution(data: RegressionData) -> np.ndarray:
-    sol, *_ = np.linalg.lstsq(data.x_arr, data.y_arr, rcond=None)
-    return sol

@@ -88,7 +88,6 @@ class KernelFactor:
 
     grid: np.ndarray
     L: np.ndarray
-    jitter_used: float
 
 
 def build_factor(spec: GPSpec) -> KernelFactor:
@@ -100,7 +99,7 @@ def build_factor(spec: GPSpec) -> KernelFactor:
         np.fill_diagonal(K, diag + jitter)
         try:
             L = np.linalg.cholesky(K)
-            return KernelFactor(grid=spec.grid, L=L, jitter_used=jitter)
+            return KernelFactor(grid=spec.grid, L=L)
         except np.linalg.LinAlgError:
             jitter *= 10.0
     raise KernelNotPSD(
@@ -181,13 +180,6 @@ def objective_profile(spec: GPSpec, path: GPPath) -> np.ndarray:
     return Q.T
 
 
-def limit_objective_path(spec: GPSpec, path: GPPath, k: int) -> float:
-    """Q at grid index k (negative t integrates backward from 0)."""
-    if not 0 <= k < spec.grid_size:
-        raise IndexError(f"grid index {k} out of range")
-    return float(objective_profile(spec, path)[k])
-
-
 def end_shift(spec: GPSpec) -> np.ndarray:
     """Column Sigma_{., M} / Sigma_{M, M}: the path response to the endpoint value."""
     K = kernel_matrix(spec)
@@ -199,6 +191,9 @@ def endpoint_decomposition(spec: GPSpec, path: GPPath) -> tuple:
 
     The residual is uncorrelated with Z; this is the conditioning device
     that reduces the path functional to a scalar source of randomness.
+    It is the endpoint conditioning behind condition (d) for the threshold
+    example: given the residual, the gap between two grid points moves with
+    Z at a nonzero rate (``endpoint_shift_gap_derivative``).
     """
     m = np.asarray(spec.drift(spec.grid), dtype=float)
     Z = float(path.values[-1] - m[-1])

@@ -43,20 +43,18 @@ class LimitComponents:
 class WeakIdModel:
     """A weak-identification limit model.
 
-    ``h(beta, pi) -> (d_h,)`` and ``h_beta(beta, pi) -> (d_h, d_beta)``;
-    ``h_beta`` may also accept a 1-d array of pi values and return a stacked
-    ``(G, d_h, d_beta)`` array, which speeds up profile evaluation.  When
-    ``h_beta`` is None it is filled in by central differences of ``h``.
-    ``kappa`` is a deterministic offset in pi (None means 0); the z-sampler
-    defaults to a standard normal of dimension d_beta + d_h.  ``h_beta``
-    and ``kappa`` must be pure functions: whole-grid profiles cache their
-    values on the model (``grid_profile``).
+    ``h(beta, pi) -> (d_h,)`` at one pi; ``h_beta(beta, pis)`` takes a 1-d
+    array of G pi values and returns the stacked ``(G, d_h, d_beta)``
+    derivatives in beta.  ``kappa`` is a deterministic offset in pi (None
+    means 0); the z-sampler defaults to a standard normal of dimension
+    d_beta + d_h.  ``h_beta`` and ``kappa`` must be pure functions:
+    whole-grid profiles cache their values on the model (``grid_profile``).
     """
 
     d_beta: int
     d_h: int
     h: Callable
-    h_beta: Optional[Callable]
+    h_beta: Callable
     beta0: tuple
     pi0: float
     b: tuple
@@ -112,22 +110,18 @@ class WeakIdModel:
         return {}
 
     def h_beta_at(self, pi) -> np.ndarray:
-        if self.h_beta is not None:
-            return np.atleast_2d(np.asarray(self.h_beta(np.asarray(self.beta0), pi),
-                                            dtype=float))
-        return _fd_h_beta(self.h, np.asarray(self.beta0), pi, self.d_h)
+        """h_beta(beta0, pi) at one pi: the one-row case of h_beta_stack."""
+        return self.h_beta_stack([pi])[0]
 
-    def h_beta_stack(self, pis: np.ndarray) -> np.ndarray:
-        """(G, d_h, d_beta) stack; uses a vectorized h_beta when it works."""
+    def h_beta_stack(self, pis) -> np.ndarray:
+        """h_beta(beta0, pi) on a 1-d array of G pi values, (G, d_h, d_beta)."""
         pis = np.asarray(pis, dtype=float)
-        if self.h_beta is not None:
-            try:
-                out = np.asarray(self.h_beta(np.asarray(self.beta0), pis), dtype=float)
-                if out.shape == (len(pis), self.d_h, self.d_beta):
-                    return out
-            except (TypeError, ValueError):
-                pass
-        return np.stack([self.h_beta_at(p) for p in pis])
+        out = np.asarray(self.h_beta(np.asarray(self.beta0), pis), dtype=float)
+        want = (len(pis), self.d_h, self.d_beta)
+        if out.shape != want:
+            raise ValueError(f"h_beta on {len(pis)} pi values must return "
+                             f"shape (G, d_h, d_beta) = {want}, got {out.shape}")
+        return out
 
     def kappa_at(self, pi) -> float:
         return 0.0 if self.kappa is None else float(self.kappa(pi))
@@ -154,17 +148,6 @@ class WeakIdModel:
 
     def detect(self, z, cfg: MultistartConfig = DEFAULT_CONFIG) -> ArgminReport:
         return profile_report(self, z, cfg=cfg)
-
-
-def _fd_h_beta(h: Callable, beta0: np.ndarray, pi, d_h: int,
-               step: float = 1e-6) -> np.ndarray:
-    cols = []
-    for k in range(len(beta0)):
-        bp, bm = beta0.copy(), beta0.copy()
-        bp[k] += step
-        bm[k] -= step
-        cols.append((as_vector(h(bp, pi)) - as_vector(h(bm, pi))) / (2 * step))
-    return np.stack(cols, axis=1).reshape(d_h, len(beta0))
 
 
 def _frames(model: WeakIdModel, pis) -> tuple:
@@ -476,10 +459,6 @@ def find_alignment_roots(model: WeakIdModel, z, grid_size: int = 2001,
         if not merged or r - merged[-1] > separation:
             merged.append(r)
     return tuple(merged)
-
-
-def count_alignment_roots(model: WeakIdModel, z, **kwargs) -> int:
-    return len(find_alignment_roots(model, z, **kwargs))
 
 
 def make_example1(b=(0.0, 0.0), H=None, kappa=None,

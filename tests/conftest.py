@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from argmin_unique import Objective, interval_domain
+from argmin_unique import Domain, Objective, box
 
 
 @pytest.fixture
 def quad_objective():
     """Q(t, z) = (t - z)^2 on [-10, 10], with analytic gradients."""
-    dom = interval_domain(-10.0, 10.0)
+    dom = Domain(pieces=(box(-10.0, 10.0),))
 
     def fn(t, z):
         d = t - z
@@ -21,7 +21,7 @@ def quad_objective():
 
 @pytest.fixture
 def quad_domain():
-    return interval_domain(-10.0, 10.0)
+    return Domain(pieces=(box(-10.0, 10.0),))
 
 
 @pytest.fixture

@@ -112,10 +112,7 @@ def test_criterion_4_condition_checkers():
             return np.array([float(np.atleast_1d(beta)[0]) * pi])
 
         def h_beta(beta, pi):
-            pi = np.asarray(pi, dtype=float)
-            if pi.ndim == 0:
-                return np.array([[float(pi)]])
-            return pi[:, None, None]
+            return np.asarray(pi, dtype=float)[:, None, None]
 
         return WeakIdModel(d_beta=1, d_h=1, h=h, h_beta=h_beta, beta0=(0.0,),
                            pi0=0.0, b=(0.0,), H=np.eye(2))

@@ -6,7 +6,7 @@ from scipy.optimize import minimize
 from argmin_unique import (Domain, MixtureSample, MultistartConfig, Objective,
                            PenaltySpec, RegressionData, box,
                            cluster_minimizers, fit_mle, globalopt,
-                           interval_domain, make_example1, make_example2,
+                           make_example1, make_example2,
                            multiplicity_probability, multistart_minimize,
                            sublevel_components, value_function)
 from argmin_unique.baselines import QuadraticModel

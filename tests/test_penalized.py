@@ -6,8 +6,7 @@ from argmin_unique import (ExplicitBound, MultistartConfig, PenaltySpec,
                            global_minimize, multistart_global_minimize,
                            partition_domain, penalized_objective, penalty_value)
 from argmin_unique.globalopt import seed_key
-from argmin_unique.penalized import (ols_solution, penalty_rho, penalty_terms,
-                                     scad_derivative, support_objective)
+from argmin_unique.penalized import penalty_terms, support_objective
 
 from oracles import (best_subset_bruteforce, fd_gradient, ols_beta,
                      penalized_support_minimum, penalty_rho_slope,
@@ -87,26 +86,26 @@ def test_l0_counts_support():
 
 def test_scad_plateau_value():
     spec = PenaltySpec(kind="scad", lam=1.0, a=3.7)
-    for t in (3.7, 5.0, 100.0):
-        assert penalty_rho(spec, t) == pytest.approx(2.35, abs=1e-12)
+    rho = penalty_terms(spec, np.array([3.7, 5.0, 100.0]))[0]
+    assert rho == pytest.approx([2.35] * 3, abs=1e-12)
 
 
 def test_scad_rho_matches_derivative_quadrature():
     spec = PenaltySpec(kind="scad", lam=1.0, a=3.7)
+    h = 1e-6
     for t in (0.5, 1.0, 2.0, 3.0, 4.5):
         want = scad_rho_quadrature(spec.lam, spec.a, t)
-        assert penalty_rho(spec, t) == pytest.approx(want, abs=1e-6)
+        rho, slope = penalty_terms(spec, np.array([t, t - h, t + h]))
+        assert rho[0] == pytest.approx(want, abs=1e-6)
         # slope consistency at a few interior points
-        h = 1e-6
-        fd = (penalty_rho(spec, t + h) - penalty_rho(spec, t - h)) / (2 * h)
-        assert fd == pytest.approx(scad_derivative(spec, t), abs=1e-5)
+        fd = (rho[2] - rho[1]) / (2 * h)
+        assert fd == pytest.approx(slope[0], abs=1e-5)
 
 
 def test_mcp_formulas():
     spec = PenaltySpec(kind="mcp", lam=1.0, gamma=3.0)
-    assert penalty_rho(spec, 1.0) == pytest.approx(1.0 - 1.0 / 6.0)
-    assert penalty_rho(spec, 3.0) == pytest.approx(1.5)
-    assert penalty_rho(spec, 10.0) == pytest.approx(1.5)
+    rho = penalty_terms(spec, np.array([1.0, 3.0, 10.0]))[0]
+    assert rho == pytest.approx([1.0 - 1.0 / 6.0, 1.5, 1.5])
 
 
 def test_penalty_even_and_monotone():
@@ -117,10 +116,10 @@ def test_penalty_even_and_monotone():
              PenaltySpec(kind="l0", lam=0.4)]
     for spec in specs:
         ts = np.sort(rng.uniform(0, 5, 20))
-        vals = [penalty_rho(spec, t) for t in ts]
-        assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+        vals = penalty_terms(spec, ts)[0]
+        assert np.all(np.diff(vals) >= -1e-12)
         for t in ts:
-            assert penalty_rho(spec, -t) == penalty_rho(spec, t)
+            assert penalty_value(spec, [-t]) == penalty_value(spec, [t])
 
 
 @pytest.mark.parametrize("kind", sorted(SMOOTH_PARAMS))
@@ -238,12 +237,6 @@ def test_seeded_trials_unique_all_penalties():
             report = global_minimize(spec, data, MultistartConfig(seed=trial,
                                                                   n_starts=64))
             assert report.verdict == "unique"
-
-
-def test_ols_solution_matches_normal_equations():
-    data = seeded_data(5)
-    assert np.allclose(ols_solution(data), ols_beta(data.x_arr, data.y_arr),
-                       atol=1e-10)
 
 
 def test_regression_objective_grad_z_matches_fd():

@@ -3,8 +3,8 @@ import pytest
 from scipy.stats import norm
 
 from argmin_unique import (GPPath, GPSpec, KernelNotPSD,
-                           argmin_uniqueness_trial, limit_objective_path,
-                           objective_profile, simulate_path)
+                           argmin_uniqueness_trial, objective_profile,
+                           simulate_path)
 from argmin_unique.globalopt import sublevel_components
 from argmin_unique.threshold import (PATH_BLOCK, build_factor,
                                      endpoint_decomposition,
@@ -136,13 +136,7 @@ def test_objective_zero_at_origin_for_every_path():
     factor = build_factor(spec)
     for s in range(5):
         path = simulate_path(spec, seed=s, factor=factor)
-        assert limit_objective_path(spec, path, spec.zero_index) == 0.0
-
-
-def test_objective_index_bounds():
-    spec = small_spec()
-    with pytest.raises(IndexError):
-        limit_objective_path(spec, flat_path(spec), spec.grid_size)
+        assert objective_profile(spec, path)[spec.zero_index] == 0.0
 
 
 def test_discrete_derivative_sign_matches_integrand():

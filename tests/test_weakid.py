@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from argmin_unique import (MultistartConfig, check_injectivity_condition,
-                           check_rank_condition, count_alignment_roots,
-                           find_alignment_roots, limit_components,
-                           limit_objective, make_example1, make_example2,
-                           profile, profile_report)
+                           check_rank_condition, find_alignment_roots,
+                           limit_components, limit_objective, make_example1,
+                           make_example2, profile, profile_report)
 from argmin_unique.globalopt import seed_key
 from argmin_unique.weakid import (WeakIdModel, grid_profile,
                                   limit_objective_grad_z, with_pi_bound)
@@ -21,10 +20,7 @@ def bilinear_model():
         return np.array([float(np.atleast_1d(beta)[0]) * pi])
 
     def h_beta(beta, pi):
-        pi = np.asarray(pi, dtype=float)
-        if pi.ndim == 0:
-            return np.array([[float(pi)]])
-        return pi[:, None, None]
+        return np.asarray(pi, dtype=float)[:, None, None]
 
     return WeakIdModel(d_beta=1, d_h=1, h=h, h_beta=h_beta, beta0=(0.0,),
                        pi0=0.0, b=(0.0,), H=np.eye(2), name="bilinear")
@@ -35,7 +31,8 @@ def bilinear_model():
 def test_model_validation_rejects_bad_H():
     with pytest.raises(ValueError):
         WeakIdModel(d_beta=1, d_h=1, h=lambda b, p: np.array([0.0]),
-                    h_beta=None, beta0=(0.0,), pi0=0.0, b=(0.0,),
+                    h_beta=lambda b, p: np.zeros((len(p), 1, 1)),
+                    beta0=(0.0,), pi0=0.0, b=(0.0,),
                     H=np.array([[1.0, 2.0], [2.0, 1.0]]))  # not PD
 
 
@@ -51,12 +48,16 @@ def test_example2_plugin_values():
     assert np.allclose(m.h_beta_at(2.0), [[6.0], [0.0]])
 
 
-def test_fd_h_beta_fallback_matches_analytic():
+def test_h_beta_of_wrong_shape_is_rejected():
+    # an h_beta written for one pi at a time: (d_h, d_beta) for any input
     m = make_example1()
-    m_fd = WeakIdModel(d_beta=2, d_h=1, h=m.h, h_beta=None, beta0=(0.0, 0.0),
-                       pi0=0.0, b=(0.0, 0.0), H=np.eye(3))
-    for pi in (-2.0, 0.3, 4.0):
-        assert np.allclose(m_fd.h_beta_at(pi), m.h_beta_at(pi), atol=1e-5)
+    one_pi = WeakIdModel(d_beta=2, d_h=1, h=m.h,
+                         h_beta=lambda b, p: np.array([[1.0, 2.0]]),
+                         beta0=(0.0, 0.0), pi0=0.0, b=(0.0, 0.0), H=np.eye(3))
+    with pytest.raises(ValueError, match=r"\(G, d_h, d_beta\) = \(3, 1, 2\)"):
+        one_pi.h_beta_stack(np.array([-2.0, 0.3, 4.0]))
+    with pytest.raises(ValueError, match="h_beta"):
+        profile(one_pi, [0.5], np.zeros(3))
 
 
 # -------------------------------------------------------------- components
@@ -221,7 +222,7 @@ def test_example1_alignment_roots_follow_discriminant(fig1_left_z):
     roots = find_alignment_roots(m, fig1_left_z)
     assert list(roots) == pytest.approx(list(ex1_roots(fig1_left_z)), abs=1e-8)
     z_neg = np.array([0.3, 1.0, -1.0])  # z1^2 + 4 z2 z3 < 0
-    assert count_alignment_roots(m, z_neg) == 0
+    assert find_alignment_roots(m, z_neg) == ()
 
 
 def test_detector_multiplicity_iff_two_alignment_roots():
