@@ -78,11 +78,9 @@ def _example_model(number: int, pi_bound: float):
 def cmd_weakid(args) -> dict:
     model = _validated(_example_model, number=args.example,
                        pi_bound=args.pi_bound)
-    if not args.z and args.draws < 1:
-        raise ConfigError("need --z (single draw) or --draws >= 1 (Monte Carlo)")
-    if args.z and args.draws >= 1:
-        raise ConfigError("--z (single draw) and --draws (Monte Carlo) "
-                          "exclude each other")
+    if args.draws < 0 or bool(args.z) == (args.draws >= 1):
+        raise ConfigError("need exactly one of --z (single draw) and --draws "
+                          f">= 1 (Monte Carlo); got --draws {args.draws}")
     # one detector for both modes: the model's dense grid of --grid points
     cfg = _validated(MultistartConfig, seed=args.seed, n_starts=args.grid,
                      eps_value=args.eps, delta_cluster=args.delta)

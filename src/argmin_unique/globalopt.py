@@ -132,32 +132,38 @@ def cluster_minimizers(points: Sequence, eps_value: float,
     return clusters
 
 
-def build_report(points: Sequence, converged_fraction: float, diameter: float,
-                 cfg: MultistartConfig) -> ArgminReport:
-    """Cluster candidate (t, value) points into an ArgminReport.
+def decide(results: Sequence, domain: Domain,
+           cfg: MultistartConfig) -> ArgminReport:
+    """The one path from candidate (t, value, ok) triples to an ArgminReport.
 
-    Tolerances come from cfg, else 1e-6 * (1 + |best|) for values and
-    1e-3 * diameter for distances.  The verdict is "inconclusive" when
-    fewer than half of the local searches converged or no cluster formed
-    (or there are no points), otherwise "unique" for a single cluster and
-    "multiple" beyond.
+    A candidate with a non-finite value counts as failed.  The ok
+    candidates are clustered, or every finite one when none is ok, and
+    ``converged_fraction`` is the share of ok candidates.  Tolerances come
+    from cfg, else 1e-6 * (1 + |best|) for values and 1e-3 * the domain's
+    diameter for distances.  The verdict is "inconclusive" when fewer than
+    half of the candidates are ok (or none is finite), otherwise "unique"
+    for a single cluster and "multiple" beyond.
     """
-    if not points:
+    finite = [(t, v, ok) for t, v, ok in results if np.isfinite(v)]
+    if not finite:
         return ArgminReport(global_value=float("nan"), clusters=(),
                             eps_value=float("nan"), delta_cluster=float("nan"),
                             verdict="inconclusive", converged_fraction=0.0)
+    converged = [(t, v) for t, v, ok in finite if ok]
+    frac = len(converged) / len(results)
+    points = converged or [(t, v) for t, v, _ in finite]
     best = min(v for _, v in points)
     eps = cfg.eps_value if cfg.eps_value is not None else 1e-6 * (1 + abs(best))
     delta = (cfg.delta_cluster if cfg.delta_cluster is not None
-             else 1e-3 * diameter)
+             else 1e-3 * domain.diameter())
     clusters = cluster_minimizers(points, eps, delta)
-    if converged_fraction < 0.5 or not clusters:
+    if frac < 0.5:
         verdict = "inconclusive"
     else:
         verdict = "unique" if len(clusters) == 1 else "multiple"
     return ArgminReport(global_value=best, clusters=tuple(clusters),
                         eps_value=eps, delta_cluster=delta, verdict=verdict,
-                        converged_fraction=converged_fraction)
+                        converged_fraction=frac)
 
 
 def seed_key(*parts) -> tuple:
@@ -409,21 +415,7 @@ def multistart_minimize(obj: Objective, domain: Domain, z,
     per_piece = max(1, cfg.n_starts // len(domain.pieces))
     jobs = [(piece, t0) for p_idx, piece in enumerate(domain.pieces)
             for t0 in _sobol_starts(piece, per_piece, (cfg.seed, p_idx))]
-    return report_descents(_descend(obj, jobs, z, cfg), domain.diameter(), cfg)
-
-
-def report_descents(results: Sequence, diameter: float,
-                    cfg: MultistartConfig) -> ArgminReport:
-    """Report from (t, value, ok) descent results.
-
-    Converged descents are clustered when there are any, otherwise every
-    finite one; the converged fraction counts all descents.
-    """
-    finite = [(t, v, ok) for t, v, ok in results if np.isfinite(v)]
-    converged = [(t, v) for t, v, ok in finite if ok]
-    frac = len(converged) / max(1, len(results))
-    pool_pts = converged if converged else [(t, v) for t, v, _ in finite]
-    return build_report(pool_pts, frac, diameter, cfg)
+    return decide(_descend(obj, jobs, z, cfg), domain, cfg)
 
 
 def value_function(obj: Objective, K: Box, z, grid: int = 1024,

@@ -20,7 +20,7 @@ import numpy as np
 from .domain import Box, Domain, Objective, as_vector
 # cluster_minimizers stays a module attribute: bench/layers.py wraps it here
 from .globalopt import (ArgminReport, DEFAULT_CONFIG, MultistartConfig,
-                        cluster_minimizers, report_descents, seed_key)
+                        cluster_minimizers, decide, seed_key)
 
 logger = logging.getLogger(__name__)
 
@@ -175,6 +175,17 @@ def mixture_domain(J: int, mean_bound: float = MEAN_BOUND) -> Domain:
                               eq_constraints=eq, order_constraints=order),))
 
 
+def _spread_means(mu: np.ndarray) -> np.ndarray:
+    """Sorted means (..., J), each moved up in place where needed so that
+    its rounded gap to its predecessor is at least MEAN_GAP."""
+    for j in range(1, mu.shape[-1]):
+        prev = mu[..., j - 1]
+        low = prev + MEAN_GAP  # one float up where the sum rounded down
+        low = np.where(low - prev < MEAN_GAP, np.nextafter(low, np.inf), low)
+        mu[..., j] = np.where(mu[..., j] - prev < MEAN_GAP, low, mu[..., j])
+    return mu
+
+
 def params_from_point(point, J: int) -> MixtureParams:
     """Decode a flattened (weights, means) vector from a report cluster."""
     v = as_vector(point)
@@ -182,10 +193,7 @@ def params_from_point(point, J: int) -> MixtureParams:
         raise ValueError("point length must be 2J")
     w = np.clip(v[:J], WEIGHT_FLOOR, None)
     w = w / w.sum()
-    mu = np.sort(v[J:])
-    for j in range(1, J):
-        if mu[j] - mu[j - 1] < MEAN_GAP:
-            mu[j] = mu[j - 1] + MEAN_GAP
+    mu = _spread_means(np.sort(v[J:]))
     return MixtureParams(weights=tuple(w), means=tuple(mu))
 
 
@@ -280,13 +288,10 @@ def fit_mle(sample: MixtureSample, J: int,
     tau, mu, nll, ok = _em_batch(sample.z_arr, J, n_starts=cfg.n_starts,
                                  seed=cfg.seed, max_iter=cfg.max_iters,
                                  tol=cfg.local_tol)
-    # map into the ordered chart: sorted already; enforce the mean gap
-    for j in range(1, J):
-        lag = mu[:, j] - mu[:, j - 1]
-        mu[:, j] = np.where(lag < MEAN_GAP, mu[:, j - 1] + MEAN_GAP, mu[:, j])
+    mu = _spread_means(mu)  # into the ordered chart (EM sorts the means)
     results = [(np.concatenate([tau[s], mu[s]]), float(nll[s]), bool(ok[s]))
                for s in range(len(nll))]
-    return report_descents(results, mixture_domain(J).diameter(), cfg)
+    return decide(results, mixture_domain(J), cfg)
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,8 @@ from .domain import DEFAULT_MARGIN, Box, Domain, Objective, as_vector
 from .errors import ExplicitBound
 # cluster_minimizers stays a module attribute: bench/layers.py wraps it here
 from .globalopt import (ArgminReport, DEFAULT_CONFIG, MultistartConfig,
-                        _sobol_starts, build_report, cluster_minimizers,
-                        lbfgsb_descend, multistart_minimize, report_descents)
+                        _sobol_starts, cluster_minimizers, decide,
+                        lbfgsb_descend, multistart_minimize)
 
 PENALTY_KINDS = ("l0", "bridge", "scad", "mcp")
 ENUMERATION_CAP = 20
@@ -266,15 +266,16 @@ def _support_route(spec: PenaltySpec, data: RegressionData,
             beta = np.zeros(d)
             beta[cols] = b_S
             results.append((beta, value, ok))
-    return report_descents(results, domain.diameter(), cfg)
+    return decide(results, domain, cfg)
 
 
 def global_minimize(spec: PenaltySpec, data: RegressionData,
                     cfg: MultistartConfig = DEFAULT_CONFIG) -> ArgminReport:
     """Global minimum report: exact enumeration for l0, per support otherwise."""
     if spec.kind == "l0":
-        return build_report(enumerate_best_subsets(spec, data), 1.0,
-                            partition_domain(spec, data.d).diameter(), cfg)
+        return decide([(beta, value, True) for beta, value
+                       in enumerate_best_subsets(spec, data)],
+                      partition_domain(spec, data.d), cfg)
     return _support_route(spec, data, cfg)
 
 

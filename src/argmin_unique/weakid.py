@@ -21,7 +21,7 @@ from scipy.optimize import minimize
 from .domain import Domain, Objective, as_vector, box
 # cluster_minimizers stays a module attribute: bench/layers.py wraps it here
 from .globalopt import (ArgminReport, DEFAULT_CONFIG, MultistartConfig,
-                        build_report, cluster_minimizers)
+                        cluster_minimizers, decide)
 
 DEFAULT_PI_BOUND = 6.0
 EIGENVALUE_FLOOR = 1e-12
@@ -287,8 +287,8 @@ def profile_report(model: WeakIdModel, z,
     grid has cfg.n_starts points per piece, at least 201; its profile comes
     from ``grid_profile``, so repeated draws on one model reuse the grid's
     frames and Gram matrices.  Every dip is refined by ``_refine_dips`` to
-    1e-10 in pi through uncached ``profile`` calls and yields one
-    candidate, so the converged fraction is 1.
+    1e-10 in pi through uncached ``profile`` calls and yields one ok
+    candidate for ``decide``.
     """
     z = as_vector(z)
     G = max(cfg.n_starts, 201)
@@ -297,8 +297,9 @@ def profile_report(model: WeakIdModel, z,
         pis, qs = grid_profile(model, piece.lower[0], piece.upper[0], G, z)
         xs, qs = _refine_dips(lambda p: profile(model, p, z), pis, qs,
                               xtol=1e-10)
-        candidates += [(np.array([x]), float(q)) for x, q in zip(xs, qs)]
-    return build_report(candidates, 1.0, model.pi_domain.diameter(), cfg)
+        candidates += [(np.array([x]), float(q), True)
+                       for x, q in zip(xs, qs)]
+    return decide(candidates, model.pi_domain, cfg)
 
 
 @dataclass(frozen=True)

@@ -430,17 +430,17 @@ def multistart_reference(obj, domain, z, cfg):
 
     The package's Sobol starts per piece, each descended on its own by
     ``_descend_reference`` (one-point calls of ``obj.eval``), then the
-    package's ``report_descents``.  Returns the ArgminReport.
+    package's ``decide``.  Returns the ArgminReport.
     """
     from argmin_unique.domain import as_vector
-    from argmin_unique.globalopt import _sobol_starts, report_descents
+    from argmin_unique.globalopt import _sobol_starts, decide
 
     z = as_vector(z)
     per_piece = max(1, cfg.n_starts // len(domain.pieces))
     results = [_descend_reference(obj, piece, z, t0, cfg)
                for p_idx, piece in enumerate(domain.pieces)
                for t0 in _sobol_starts(piece, per_piece, (cfg.seed, p_idx))]
-    return report_descents(results, domain.diameter(), cfg)
+    return decide(results, domain, cfg)
 
 
 
@@ -451,7 +451,7 @@ def profile_report_reference(model, z, cfg):
     ``profile`` call per draw instead of the model's cached grid part.
     Returns the ArgminReport.
     """
-    from argmin_unique.globalopt import build_report
+    from argmin_unique.globalopt import decide
     from argmin_unique.weakid import _refine_dips, profile
 
     G = max(cfg.n_starts, 201)
@@ -460,5 +460,5 @@ def profile_report_reference(model, z, cfg):
         pis = np.linspace(piece.lower[0], piece.upper[0], G)
         xs, qs = _refine_dips(lambda p: profile(model, p, z), pis,
                               profile(model, pis, z), xtol=1e-10)
-        candidates += [(np.array([x]), float(q)) for x, q in zip(xs, qs)]
-    return build_report(candidates, 1.0, model.pi_domain.diameter(), cfg)
+        candidates += [(np.array([x]), float(q), True) for x, q in zip(xs, qs)]
+    return decide(candidates, model.pi_domain, cfg)

@@ -208,7 +208,7 @@ def test_criterion_6_argmin_set_expansion():
     report_line(6, "argmin-set-expansion", ok, "; ".join(details))
 
 
-def test_criterion_7_penalized_uniqueness():
+def test_criterion_7_penalized_uniqueness(criterion7_smooth_reports):
     rng = np.random.default_rng(2718)
     X = rng.standard_normal((20, 5))
     beta0 = np.array([1.5, -1.0, 0.0, 0.0, 0.0])
@@ -219,26 +219,34 @@ def test_criterion_7_penalized_uniqueness():
         "mcp": PenaltySpec(kind="mcp", lam=1.0, gamma=3.0),
     }
     n_trials = 200
-    counts = {}
+    reports = {"l0": []}
+    draws = []
     worst_l0_gap = 0.0
+    for trial in range(n_trials):
+        y = X @ beta0 + np.random.default_rng(9000 + trial).standard_normal(20)
+        data = RegressionData(y=tuple(y), x=tuple(tuple(r) for r in X))
+        draws.append(data)
+        cfg = MultistartConfig(seed=trial, n_starts=32)
+        rep = global_minimize(specs["l0"], data, cfg)
+        reports["l0"].append(rep)
+        multi = multistart_global_minimize(specs["l0"], data, cfg)
+        worst_l0_gap = max(worst_l0_gap,
+                           abs(rep.global_value - multi.global_value))
+    # the smooth penalties' detections on the same draws (bridge 64 starts,
+    # scad and mcp 8) run once per session, shared with the support-route
+    # oracle test in test_penalized.py
+    for name in ("bridge", "scad", "mcp"):
+        spec, rows = criterion7_smooth_reports[name]
+        assert spec == specs[name] and [d for d, _ in rows] == draws
+        reports[name] = [rep for _, rep in rows]
+    counts = {}
     tie_free = True
-    for name, spec in specs.items():
-        n_unique = 0
-        n_starts = {"l0": 32, "bridge": 64, "scad": 8, "mcp": 8}[name]
-        for trial in range(n_trials):
-            y = X @ beta0 + np.random.default_rng(9000 + trial).standard_normal(20)
-            data = RegressionData(y=tuple(y), x=tuple(tuple(r) for r in X))
-            cfg = MultistartConfig(seed=trial, n_starts=n_starts)
-            rep = global_minimize(spec, data, cfg)
-            n_unique += rep.verdict == "unique"
+    for name, reps in reports.items():
+        counts[name] = sum(rep.verdict == "unique" for rep in reps)
+        for rep in reps:
             if rep.n_clusters >= 2:
                 vals = sorted(c.value for c in rep.clusters)
                 tie_free &= (vals[1] - vals[0]) > 1e-10
-            if name == "l0":
-                multi = multistart_global_minimize(spec, data, cfg)
-                worst_l0_gap = max(worst_l0_gap,
-                                   abs(rep.global_value - multi.global_value))
-        counts[name] = n_unique
     ok = all(v == n_trials for v in counts.values())
     ok &= worst_l0_gap <= 1e-8 and tie_free
     report_line(7, "penalized-uniqueness", ok,

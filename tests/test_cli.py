@@ -84,6 +84,9 @@ def test_mixture_force_gate(tmp_path):
     code = run(["mixture", "--n", "6", "--components", "4", "--seed", "1",
                 "--starts", "8", "--out", str(out)])
     assert code == 2  # precondition violated without --force
+    code = run(["mixture", "--n", "6", "--components", "4", "--seed", "1",
+                "--starts", "8", "--force", "--out", str(out)])
+    assert code == 0  # tied means keep the ordered chart's gap
     code = run(["mixture", "--n", "6", "--components", "2", "--seed", "1",
                 "--starts", "8", "--out", str(out)])
     assert code == 0
@@ -307,6 +310,7 @@ def test_config_hash_tracks_tolerances(tmp_path):
     ["mixture", "--n", "3", "--components", "2"],
     ["penalized", "--penalty", "l0", "--n", "30", "--d", "21"],
     ["weakid", "--example", "1", "--z=-1.03,1.29,2.77", "--draws", "5"],
+    ["weakid", "--example", "1", "--z=-1.03,1.29,2.77", "--draws", "-4"],
 ], ids=["penalized-lam", "penalized-q", "threshold-grid", "mixture-components",
         "weakid-grid", "threshold-paths-0", "penalized-d-0", "weakid-pi-bound",
         "threshold-paths-negative", "threshold-eps-increasing",
@@ -321,7 +325,8 @@ def test_config_hash_tracks_tolerances(tmp_path):
         "threshold-m-bound-inf", "weakid-pi-bound-inf", "penalized-lam-inf",
         "penalized-a-inf", "penalized-gamma-inf", "generic-check-tol-inf",
         "mixture-tied-sample", "mixture-components-above-sqrt-n",
-        "penalized-l0-d-above-cap", "weakid-z-with-draws"])
+        "penalized-l0-d-above-cap", "weakid-z-with-draws",
+        "weakid-z-with-negative-draws"])
 def test_invalid_settings_exit_2_without_outputs(tmp_path, args, capsys):
     (tmp_path / "repeated.csv").write_text("z\n0.5\n1.5\n0.5\n")
     (tmp_path / "empty.csv").write_text("z\n")

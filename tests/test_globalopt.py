@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from argmin_unique import (Domain, MixtureSample, MultistartConfig, Objective,
                            sublevel_components, value_function)
 from argmin_unique.baselines import QuadraticModel
 from argmin_unique.domain import eval_block
-from argmin_unique.globalopt import build_report, lbfgsb_descend
+from argmin_unique.globalopt import decide, lbfgsb_descend
 from argmin_unique.penalized import partition_domain, regression_objective
 from argmin_unique.serialize import canonical_json
 
@@ -81,32 +83,52 @@ def test_cluster_mixture_tie_sample_matches_reference(monkeypatch):
         single_linkage_reference(*seen[0])
 
 
-def test_build_report_tolerances_and_verdicts():
+WIDE = Domain(pieces=(box(-10.0, 10.0),))  # diameter 20
+
+
+def test_decide_tolerances_and_verdicts():
     cfg = MultistartConfig()
-    pts = [([0.0], 2.0), ([1.0], 2.0), ([5.0], 3.0)]
-    rep = build_report(pts, 1.0, 20.0, cfg)
+    pts = [([0.0], 2.0, True), ([1.0], 2.0, True), ([5.0], 3.0, True)]
+    rep = decide(pts, WIDE, cfg)
     assert rep.global_value == 2.0
     assert rep.eps_value == pytest.approx(3e-6)
     assert rep.delta_cluster == pytest.approx(0.02)
     assert rep.verdict == "multiple" and rep.n_clusters == 2
-    assert build_report(pts[:1], 1.0, 20.0, cfg).verdict == "unique"
-    assert build_report(pts, 0.49, 20.0, cfg).verdict == "inconclusive"
-    fixed = build_report(pts, 1.0, 20.0,
-                         MultistartConfig(eps_value=2.0, delta_cluster=10.0))
+    assert decide(pts[:1], WIDE, cfg).verdict == "unique"
+    failed = [([7.0], 1.0, False)] * 4  # 3 of 7 candidates ok
+    assert decide(pts + failed, WIDE, cfg).verdict == "inconclusive"
+    fixed = decide(pts, WIDE,
+                   MultistartConfig(eps_value=2.0, delta_cluster=10.0))
     assert fixed.verdict == "unique" and fixed.clusters[0].hits == 3
 
 
-def test_build_report_without_points_is_inconclusive():
-    rep = build_report([], 1.0, 20.0, MultistartConfig())
-    assert rep.verdict == "inconclusive" and rep.clusters == ()
-    assert np.isnan(rep.global_value) and rep.converged_fraction == 0.0
+def test_decide_without_points_is_inconclusive():
+    for results in ([], [([0.0], float("nan"), True)]):
+        rep = decide(results, WIDE, MultistartConfig())
+        assert rep.verdict == "inconclusive" and rep.clusters == ()
+        assert np.isnan(rep.global_value) and rep.converged_fraction == 0.0
 
 
-def test_build_report_without_clusters_is_inconclusive():
-    # a NaN best value leaves no point within eps of it
-    pts = [((0.0,), float("nan")), ((1.0,), 2.0)]
-    rep = build_report(pts, 1.0, 20.0, MultistartConfig())
-    assert rep.verdict == "inconclusive" and rep.clusters == ()
+def test_decide_ignores_candidate_order_and_fails_non_finite_values():
+    pts = [((0.0,), float("nan"), True), ((1.0,), 2.0, True),
+           ((3.0,), 2.0, True), ((5.0,), float("inf"), True)]
+    reports = {canonical_json(decide(list(p), WIDE, MultistartConfig())
+                              .to_dict())
+               for p in itertools.permutations(pts)}
+    assert len(reports) == 1
+    rep = decide(pts, WIDE, MultistartConfig())
+    assert rep.converged_fraction == 0.5 and rep.global_value == 2.0
+    assert rep.verdict == "multiple" and rep.n_clusters == 2
+
+
+def test_decide_clusters_finite_candidates_when_none_is_ok():
+    pts = [([0.0], 2.0, False), ([1.0], float("nan"), False),
+           ([4.0], 2.0, False), ([4.001], 2.0 + 1e-7, False),
+           ([9.0], 5.0, False)]
+    rep = decide(pts, WIDE, MultistartConfig())
+    assert rep.verdict == "inconclusive" and rep.converged_fraction == 0.0
+    assert rep.global_value == 2.0
+    assert [c.hits for c in rep.clusters] == [1, 2]
 
 
 @pytest.mark.parametrize("name", ["eps_value", "delta_cluster"])

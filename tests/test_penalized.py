@@ -280,21 +280,17 @@ def test_support_objective_gradient_matches_fd(kind):
         assert np.allclose(grad, fd, rtol=1e-6, atol=1e-5)
 
 
-def test_support_route_matches_oracle_on_criterion7_draws():
+def test_support_route_matches_oracle_on_criterion7_draws(
+        criterion7_smooth_reports):
     # The oracle's descents stop at the optimum with scipy's line-search
     # failure flag on several of these draws (bridge 37, 130, 160, 174, 184,
     # 191; scad 118, 198), so a route that drops such descents fails here.
-    X, mean = criterion7_design()
-    x = tuple(tuple(r) for r in X)
-    starts = {"bridge": 64, "scad": 8, "mcp": 8}
+    X, _ = criterion7_design()
     for kind, params in SMOOTH_PARAMS.items():
-        spec = PenaltySpec(kind=kind, **params)
-        for trial in range(200):
-            y = mean + np.random.default_rng(9000 + trial).standard_normal(20)
-            data = RegressionData(y=tuple(y), x=x)
-            rep = global_minimize(spec, data, MultistartConfig(
-                seed=trial, n_starts=starts[kind]))
-            want = penalized_support_minimum(kind, params, X, y)
+        spec, rows = criterion7_smooth_reports[kind]
+        assert spec == PenaltySpec(kind=kind, **params) and len(rows) == 200
+        for trial, (data, rep) in enumerate(rows):
+            want = penalized_support_minimum(kind, params, X, data.y_arr)
             assert rep.global_value <= want + rep.eps_value, (kind, trial)
             for c in rep.clusters:
                 again = penalized_objective(spec, data, c.representative)
