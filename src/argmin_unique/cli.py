@@ -24,7 +24,8 @@ from .genericity import scan_grid
 from .globalopt import MultistartConfig, multiplicity_probability
 from .mixture import (MixtureModel, MixtureParams, MixtureSample, fit_mle,
                       mixture_nll, params_from_point, read_sample_csv)
-from .penalized import PenaltySpec, RegressionData, global_minimize
+from .penalized import (PenaltySpec, RegressionData, check_enumeration_cap,
+                        global_minimize)
 from .serialize import config_hash, write_csv, write_report
 from .threshold import GPSpec, argmin_uniqueness_trial, trial_settings
 from .weakid import grid_profile, make_example1, make_example2
@@ -133,10 +134,12 @@ def cmd_penalized(args) -> dict:
     if args.data:
         raw = _validated(np.loadtxt, fname=args.data, delimiter=",",
                          skiprows=1, ndmin=2)
+        check_enumeration_cap(raw.shape[1] - 1)
         y, X = raw[:, 0], raw[:, 1:]
     else:
         if args.n < 1 or args.d < 1:
             raise ConfigError("--n and --d must be at least 1")
+        check_enumeration_cap(args.d)
         rng = np.random.default_rng(args.seed)
         X = rng.standard_normal((args.n, args.d))
         beta0 = np.zeros(args.d)

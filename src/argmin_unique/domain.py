@@ -10,7 +10,6 @@ admissible derivative directions.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
@@ -39,7 +38,8 @@ class Box:
     enforcing ``coefficients . t = constant``.  ``order_constraints`` is a
     sequence of index pairs ``(i, j)`` enforcing ``t_i + margin <= t_j``.
     ``nonzero`` lists coordinates required to satisfy ``|t_k| >= margin``
-    (the complement-of-zero pieces used by sparsity partitions).
+    (the complement-of-zero pieces used by sparsity partitions).  Every
+    strict constraint holds with margin ``DEFAULT_MARGIN``.
     """
 
     lower: tuple
@@ -47,7 +47,6 @@ class Box:
     eq_constraints: tuple = ()
     order_constraints: tuple = ()
     nonzero: tuple = ()
-    margin: float = DEFAULT_MARGIN
 
     def __post_init__(self):
         lower = tuple(float(v) for v in np.atleast_1d(self.lower))
@@ -68,8 +67,6 @@ class Box:
             raise ValueError("box bounds must be finite")
         if not all(l < u for l, u in zip(lower, upper)):
             raise ValueError("need lower_k < upper_k for every coordinate")
-        if not self.margin > 0:
-            raise ValueError("margin must be positive")
         d = len(lower)
         for coef, _ in eqs:
             if len(coef) != d:
@@ -160,9 +157,9 @@ class Box:
             A, c = self._eq_system
             v += float(np.sum(np.abs(A @ t - c)))
         for i, j in self.order_constraints:
-            v += max(0.0, t[i] + self.margin - t[j])
+            v += max(0.0, t[i] + DEFAULT_MARGIN - t[j])
         for k in self.nonzero:
-            v += max(0.0, self.margin - abs(t[k]))
+            v += max(0.0, DEFAULT_MARGIN - abs(t[k]))
         return v
 
     def contains(self, t, slack: float = 1e-9) -> bool:
@@ -176,10 +173,10 @@ class Box:
             if np.any(np.abs(A @ t - c) > max(slack, 1e-9)):
                 return False
         for i, j in self.order_constraints:
-            if not t[i] + self.margin - slack <= t[j]:
+            if not t[i] + DEFAULT_MARGIN - slack <= t[j]:
                 return False
         for k in self.nonzero:
-            if abs(t[k]) < self.margin - slack:
+            if abs(t[k]) < DEFAULT_MARGIN - slack:
                 return False
         return True
 
@@ -200,14 +197,14 @@ class Box:
             t = t.copy()
             for _ in range(len(self.order_constraints) + 1):  # bubble passes
                 for i, j in self.order_constraints:
-                    if t[i] + self.margin > t[j]:
+                    if t[i] + DEFAULT_MARGIN > t[j]:
                         t[i], t[j] = t[j], t[i]
             for i, j in self.order_constraints:
-                if t[i] + self.margin > t[j]:  # ties after sorting
-                    t[j] = t[i] + self.margin
+                if t[i] + DEFAULT_MARGIN > t[j]:  # ties after sorting
+                    t[j] = t[i] + DEFAULT_MARGIN
             for k in self.nonzero:
-                if abs(t[k]) < self.margin:
-                    t[k] = self.margin if t[k] >= 0 else -self.margin
+                if abs(t[k]) < DEFAULT_MARGIN:
+                    t[k] = DEFAULT_MARGIN if t[k] >= 0 else -DEFAULT_MARGIN
             t = self.project_eq(self.clip(t))
         return t if self.contains(t, slack=1e-7) else None
 
@@ -246,37 +243,14 @@ class Box:
         return np.asarray(kept)
 
 
-def _provably_disjoint(a: Box, b: Box) -> bool:
-    """Cheap sufficient conditions for two boxes to be disjoint."""
-    if a.dim != b.dim:
-        return True
-    if np.any(a.upper_arr < b.lower_arr) or np.any(b.upper_arr < a.lower_arr):
-        return True
-    # eq "t_k = c" against nonzero "|t_k| >= margin" (and vice versa)
-    for box1, box2 in ((a, b), (b, a)):
-        for coef, c in box1.eq_constraints:
-            coef = np.asarray(coef)
-            nz = np.nonzero(np.abs(coef) > 0)[0]
-            if len(nz) == 1:
-                k, val = int(nz[0]), c / coef[nz[0]]
-                if k in box2.nonzero and abs(val) < box2.margin:
-                    return True
-    # identical single-coordinate eq constraints with different constants
-    eq_a = {tuple(np.round(np.asarray(c) / np.linalg.norm(c), 12)): v / np.linalg.norm(c)
-            for c, v in a.eq_constraints}
-    for c, v in b.eq_constraints:
-        key = tuple(np.round(np.asarray(c) / np.linalg.norm(c), 12))
-        if key in eq_a and abs(eq_a[key] - v / np.linalg.norm(c)) > a.margin:
-            return True
-    # reversed order constraints
-    if any((j, i) in b.order_constraints for i, j in a.order_constraints):
-        return True
-    return False
-
-
 @dataclass(frozen=True)
 class Domain:
-    """Finite union of boxes; pieces must be pairwise disjoint up to margins."""
+    """Finite union of boxes.
+
+    Two pieces with the same dimension and the same equality, order and
+    nonzero constraints must have disjoint bounds; pieces constrained
+    differently are taken to be disjoint, as a sparsity partition's are.
+    """
 
     pieces: tuple
 
@@ -285,15 +259,17 @@ class Domain:
         object.__setattr__(self, "pieces", pieces)
         if not pieces:
             raise ValueError("domain needs at least one piece")
-        for i, j in itertools.combinations(range(len(pieces)), 2):
-            a, b = pieces[i], pieces[j]
-            if _provably_disjoint(a, b):
-                continue
-            # same constraint structure and overlapping bounds: reject
-            if (a.eq_constraints == b.eq_constraints
-                    and a.order_constraints == b.order_constraints
-                    and a.nonzero == b.nonzero):
-                raise ValueError(f"pieces {i} and {j} overlap")
+        # only identically constrained pieces whose bounds overlap are
+        # rejected, so each piece is checked against its own group alone
+        groups: dict = {}
+        for i, b in enumerate(pieces):
+            key = (b.dim, b.eq_constraints, b.order_constraints, b.nonzero)
+            for j in groups.setdefault(key, []):
+                a = pieces[j]
+                if not (np.any(a.upper_arr < b.lower_arr)
+                        or np.any(b.upper_arr < a.lower_arr)):
+                    raise ValueError(f"pieces {j} and {i} overlap")
+            groups[key].append(i)
 
     @property
     def dim(self) -> int:

@@ -165,10 +165,10 @@ def score_gap_cleared(params1, params2, z: float) -> float:
     return float(pair.sum())
 
 
-def mixture_domain(J: int, mean_bound: float = MEAN_BOUND) -> Domain:
+def mixture_domain(J: int) -> Domain:
     """Ordered-chart box: weights on the simplex, means increasing in a box."""
-    lower = [WEIGHT_FLOOR] * J + [-mean_bound] * J
-    upper = [1.0] * J + [mean_bound] * J
+    lower = [WEIGHT_FLOOR] * J + [-MEAN_BOUND] * J
+    upper = [1.0] * J + [MEAN_BOUND] * J
     eq = ((tuple([1.0] * J + [0.0] * J), 1.0),)
     order = tuple((J + j, J + j + 1) for j in range(J - 1))
     return Domain(pieces=(Box(lower=tuple(lower), upper=tuple(upper),

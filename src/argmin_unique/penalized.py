@@ -151,26 +151,34 @@ def regression_objective(spec: PenaltySpec, data: RegressionData) -> Objective:
                      admissible_directions=dom.admissible_directions)
 
 
-def partition_domain(spec: PenaltySpec, d: int,
-                     radius: float = DEFAULT_RADIUS) -> Domain:
+def check_enumeration_cap(d: int) -> None:
+    """Raise ExplicitBound when 2^d supports exceed the enumeration cap."""
+    if d > ENUMERATION_CAP:
+        raise ExplicitBound(f"2^{d} supports exceed the d <= {ENUMERATION_CAP} cap")
+
+
+def partition_domain(spec: PenaltySpec, d: int) -> Domain:
     """Pieces on which the penalty is continuous.
 
-    l0/bridge: 2^d pieces indexed by the zero set (zeros pinned by equality
-    constraints, the rest kept off zero).  scad/mcp: one box.
+    l0/bridge: 2^d pieces, piece p holding support mask p (zeros pinned by
+    equality constraints, the rest kept off zero).  scad/mcp: one box.  The
+    detectors work per support mask on the one box; only
+    ``regression_objective``'s admissible directions and the multistart
+    cross-check build the 2^d pieces.
     """
     if d < 1:
         raise ValueError("d must be positive")
-    if not spec.separable_smooth and d > ENUMERATION_CAP:
-        raise ExplicitBound(f"2^{d} pieces exceed the d <= {ENUMERATION_CAP} cap")
-    return _partition(spec.separable_smooth, d, float(radius))
+    if not spec.separable_smooth:
+        check_enumeration_cap(d)
+    return _partition(spec.separable_smooth, d)
 
 
 @lru_cache(maxsize=16)
-def _partition(one_box: bool, d: int, radius: float) -> Domain:
+def _partition(one_box: bool, d: int) -> Domain:
     """Build a partition once per shape; its immutable pieces also keep
     their cached constraint bases across calls."""
-    lower = tuple([-radius] * d)
-    upper = tuple([radius] * d)
+    lower = tuple([-DEFAULT_RADIUS] * d)
+    upper = tuple([DEFAULT_RADIUS] * d)
     if one_box:
         return Domain(pieces=(Box(lower=lower, upper=upper),))
     pieces = []
@@ -192,8 +200,7 @@ def enumerate_best_subsets(spec: PenaltySpec, data: RegressionData) -> list:
     if spec.kind != "l0":
         raise ValueError("enumeration applies to the l0 penalty")
     d = data.d
-    if d > ENUMERATION_CAP:
-        raise ExplicitBound(f"2^{d} supports exceed the d <= {ENUMERATION_CAP} cap")
+    check_enumeration_cap(d)
     X, y = data.x_arr, data.y_arr
     out = []
     for mask in range(2 ** d):
@@ -238,26 +245,28 @@ def _support_route(spec: PenaltySpec, data: RegressionData,
                    cfg: MultistartConfig) -> ArgminReport:
     """Per-support L-BFGS-B for bridge, scad and mcp.
 
-    Each nonempty support S starts from its least-squares fit, moved into
-    that fit's sign orthant, and from the partition's Sobol starts on S
-    (for scad/mcp the partition is the one box, so those starts use the
-    full support).  b = 0 is a candidate too.  Reported values are the
-    objective at the reported point.
+    Each nonempty support S, by its mask, starts from its least-squares
+    fit, moved into that fit's sign orthant, and from Sobol starts on the
+    whole box read on S.  Bridge draws n_starts // 2^d starts per mask,
+    keyed (seed, mask), the key of partition piece mask; scad/mcp draw all
+    n_starts for the full support, keyed (seed, 0) like their one piece.
+    b = 0 is a candidate too.  Reported values are the objective at the
+    reported point.  No partition piece is built: ``partition_domain``'s
+    pieces serve only ``regression_objective`` and the multistart.
     """
     d = data.d
-    if d > ENUMERATION_CAP:
-        raise ExplicitBound(f"2^{d} supports exceed the d <= {ENUMERATION_CAP} cap")
     X, y = data.x_arr, data.y_arr
-    domain = partition_domain(spec, d)
-    per_piece = max(1, cfg.n_starts // len(domain.pieces))
-    starts = {mask: [] for mask in range(1, 2 ** d)}
-    for p_idx, piece in enumerate(domain.pieces):
-        support = range(d) if spec.separable_smooth else piece.nonzero
-        mask = sum(1 << k for k in support)
-        if mask:
-            starts[mask].extend(_sobol_starts(piece, per_piece, (cfg.seed, p_idx)))
+    whole = _partition(True, d)
+    piece, full = whole.pieces[0], 2 ** d - 1
     results = [(np.zeros(d), 0.5 * float(y @ y), True)]
-    for mask, extra in starts.items():
+    for mask in range(1, full + 1):
+        if not spec.separable_smooth:
+            extra = _sobol_starts(piece, max(1, cfg.n_starts // 2 ** d),
+                                  (cfg.seed, mask))
+        elif mask == full:
+            extra = _sobol_starts(piece, cfg.n_starts, (cfg.seed, 0))
+        else:
+            extra = []
         cols = [k for k in range(d) if mask >> k & 1]
         X_S = X[:, cols]
         ls = np.linalg.lstsq(X_S, y, rcond=None)[0]
@@ -266,16 +275,21 @@ def _support_route(spec: PenaltySpec, data: RegressionData,
             beta = np.zeros(d)
             beta[cols] = b_S
             results.append((beta, value, ok))
-    return decide(results, domain, cfg)
+    return decide(results, whole, cfg)
 
 
 def global_minimize(spec: PenaltySpec, data: RegressionData,
                     cfg: MultistartConfig = DEFAULT_CONFIG) -> ArgminReport:
-    """Global minimum report: exact enumeration for l0, per support otherwise."""
+    """Global minimum report: exact enumeration for l0, per support otherwise.
+
+    Both routes run over every support, so d above ENUMERATION_CAP raises
+    ExplicitBound.
+    """
+    check_enumeration_cap(data.d)
     if spec.kind == "l0":
         return decide([(beta, value, True) for beta, value
                        in enumerate_best_subsets(spec, data)],
-                      partition_domain(spec, data.d), cfg)
+                      _partition(True, data.d), cfg)
     return _support_route(spec, data, cfg)
 
 

@@ -444,6 +444,47 @@ def multistart_reference(obj, domain, z, cfg):
 
 
 
+def support_route_reference(spec, data, cfg):
+    """The penalized detector with its starts drawn on the 2^d partition.
+
+    Piece p of ``partition_domain`` draws the package's Sobol starts keyed
+    (seed, p), each repaired into the piece, and hands their support
+    coordinates to the support the piece holds (the full support for the
+    one scad/mcp piece).  Each support then runs the package's orthant
+    descents from its least-squares fit and those starts; l0 takes the
+    package's enumeration instead.  The candidates go to the package's
+    ``decide`` with the partition.  Returns the ArgminReport.
+    """
+    from argmin_unique.globalopt import _sobol_starts, decide
+    from argmin_unique.penalized import (_orthant_descent,
+                                         enumerate_best_subsets,
+                                         partition_domain)
+
+    d = data.d
+    domain = partition_domain(spec, d)
+    if spec.kind == "l0":
+        return decide([(b, v, True) for b, v in enumerate_best_subsets(spec, data)],
+                      domain, cfg)
+    X, y = data.x_arr, data.y_arr
+    per_piece = max(1, cfg.n_starts // len(domain.pieces))
+    starts = {mask: [] for mask in range(1, 2 ** d)}
+    for p_idx, piece in enumerate(domain.pieces):
+        support = range(d) if spec.separable_smooth else piece.nonzero
+        mask = sum(1 << k for k in support)
+        if mask:
+            starts[mask].extend(_sobol_starts(piece, per_piece, (cfg.seed, p_idx)))
+    results = [(np.zeros(d), 0.5 * float(y @ y), True)]
+    for mask, extra in starts.items():
+        cols = [k for k in range(d) if mask >> k & 1]
+        ls = np.linalg.lstsq(X[:, cols], y, rcond=None)[0]
+        for b0 in [ls] + [t0[cols] for t0 in extra]:
+            b_S, value, ok = _orthant_descent(spec, X[:, cols], y, b0, cfg)
+            beta = np.zeros(d)
+            beta[cols] = b_S
+            results.append((beta, value, ok))
+    return decide(results, domain, cfg)
+
+
 def profile_report_reference(model, z, cfg):
     """The weakid dense-grid detector with every grid profile uncached.
 

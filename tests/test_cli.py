@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from argmin_unique import cli
 from argmin_unique.cli import FIGURE_CASES, main
 from argmin_unique.globalopt import MultistartConfig
 from argmin_unique.serialize import canonical_json, write_csv
@@ -334,5 +335,21 @@ def test_invalid_settings_exit_2_without_outputs(tmp_path, args, capsys):
     args = [a.replace("{tmp}", str(tmp_path)) for a in args]
     out = tmp_path / "bad"
     assert run(args + ["--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "bad.report.json").exists()
+
+
+def test_penalized_cap_checked_before_data(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("data built before the enumeration cap check")
+
+    monkeypatch.setattr(cli, "RegressionData", refuse)
+    out = tmp_path / "bad"
+    assert run(["penalized", "--d", "21", "--n", "21", "--out", str(out)]) == 2
+    header = ",".join(["y"] + [f"x{k}" for k in range(21)])
+    row = ",".join(["1.0"] * 22)
+    (tmp_path / "wide.csv").write_text(f"{header}\n" + f"{row}\n" * 22)
+    assert run(["penalized", "--data", str(tmp_path / "wide.csv"),
+                "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "bad.report.json").exists()

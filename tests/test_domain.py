@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from argmin_unique import (Domain, Objective, box,
+from argmin_unique import (Domain, Objective, PenaltySpec, box,
                            DegenerateObjective, InvalidDirection,
                            directional_derivative_t, eval_objective, grad_z,
                            make_example1)
 from argmin_unique.mixture import nll_objective
+from argmin_unique.penalized import partition_domain
 from argmin_unique.weakid import limit_objective, with_pi_bound
 
 from oracles import ex1_roots, fd_gradient
@@ -46,6 +47,25 @@ def test_box_rejects_non_finite_bounds(build):
 def test_domain_rejects_overlapping_pieces():
     with pytest.raises(ValueError):
         Domain(pieces=(box(0.0, 1.0), box(0.5, 2.0)))
+    with pytest.raises(ValueError):
+        Domain(pieces=(box([-1.0, -1.0], [1.0, 1.0], nonzero=(0,)),
+                       box([0.0, 0.0], [2.0, 2.0], nonzero=(0,))))
+    # the two l0 pieces at d = 1 share their bounds but not their constraints
+    Domain(pieces=(box(-10.0, 10.0, eq_constraints=(((1.0,), 0.0),)),
+                   box(-10.0, 10.0, nonzero=(0,))))
+
+
+def test_domain_holds_large_sparsity_partition():
+    d = 12
+    dom = partition_domain(PenaltySpec(kind="l0", lam=1.0), d)
+    assert len(dom.pieces) == 2 ** d
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        support = rng.random(d) < 0.5
+        t = np.where(support, rng.uniform(0.1, 9.0, d) * rng.choice([-1, 1], d),
+                     0.0)
+        piece = dom.piece_of(t)
+        assert piece.nonzero == tuple(np.flatnonzero(support))
 
 
 def test_domain_accepts_separated_pieces():

@@ -10,7 +10,7 @@ from argmin_unique.penalized import penalty_terms, support_objective
 
 from oracles import (best_subset_bruteforce, fd_gradient, ols_beta,
                      penalized_support_minimum, penalty_rho_slope,
-                     scad_rho_quadrature)
+                     scad_rho_quadrature, support_route_reference)
 
 SMOOTH_PARAMS = {"bridge": {"lam": 0.5, "q": 0.5},
                  "scad": {"lam": 1.0, "a": 3.7},
@@ -297,14 +297,33 @@ def test_support_route_matches_oracle_on_criterion7_draws(
                 assert abs(c.value - again) <= 1e-12 * abs(again), (kind, trial)
 
 
-def test_support_route_enumeration_cap():
+@pytest.mark.parametrize("kind", ["l0", "bridge", "scad", "mcp"])
+def test_support_route_enumeration_cap(kind):
     d = 21
     rng = np.random.default_rng(0)
     data = RegressionData(y=tuple(rng.standard_normal(d + 1)),
                           x=tuple(tuple(r) for r in
                                   rng.standard_normal((d + 1, d))))
     with pytest.raises(ExplicitBound):
-        global_minimize(PenaltySpec(kind="scad", lam=1.0), data)
+        global_minimize(PenaltySpec(kind=kind, lam=1.0), data)
+
+
+@pytest.mark.parametrize("kind", ["l0", "bridge", "scad", "mcp"])
+def test_global_minimize_matches_partition_reference(kind):
+    # The detectors draw each support's starts on the whole box, keyed by
+    # support mask; the reference draws them piece by piece on the 2^d
+    # partition and repairs them into the piece.  Reports must agree bit
+    # for bit.
+    spec = PenaltySpec(kind=kind, **SMOOTH_PARAMS.get(kind, {"lam": 1.0}))
+    for d in range(1, 7):
+        rng = np.random.default_rng(40 + d)
+        X = rng.standard_normal((d + 5, d))
+        y = X @ np.linspace(1.5, -1.0, d) + rng.standard_normal(d + 5)
+        data = RegressionData(y=tuple(y), x=tuple(tuple(r) for r in X))
+        for n_starts in (1, 7, 64, 200):
+            cfg = MultistartConfig(seed=d * n_starts, n_starts=n_starts)
+            assert (repr(global_minimize(spec, data, cfg))
+                    == repr(support_route_reference(spec, data, cfg))), (d, n_starts)
 
 
 def test_multistart_reports_objective_at_representative():
