@@ -51,6 +51,17 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """argparse type of every --seed flag: a non-negative int or a ConfigError."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise ConfigError(f"--seed {text!r} is not a non-negative integer")
+    return value
+
+
 def _parse_floats(text: str) -> tuple:
     """argparse type of a comma-separated list of finite floats."""
     return tuple(_finite_float(v) for v in text.split(","))
@@ -228,7 +239,7 @@ def _build_parser() -> tuple:
                    help="comma-separated z vector (single-draw mode)")
     p.add_argument("--draws", type=int, default=0,
                    help="Monte Carlo draws (multiplicity-probability mode)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--eps", type=_finite_float, default=None)
     p.add_argument("--delta", type=_finite_float, default=None)
     p.add_argument("--pi-bound", type=_finite_float, default=6.0)
@@ -246,7 +257,7 @@ def _build_parser() -> tuple:
     p.add_argument("--means", type=_parse_floats,
                    help="true means for simulation")
     p.add_argument("--starts", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--force", action="store_true",
                    help="allow J > sqrt(n) (uniqueness no longer guaranteed)")
     p.add_argument("--out", default="mixture")
@@ -261,7 +272,7 @@ def _build_parser() -> tuple:
     p.add_argument("--gamma", type=_finite_float, default=3.0)
     p.add_argument("--n", type=int, default=20)
     p.add_argument("--d", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default="penalized")
 
     p = command("threshold", cmd_threshold, "Gaussian-process functional trial")
@@ -271,7 +282,7 @@ def _build_parser() -> tuple:
     p.add_argument("--gamma", type=_finite_float, default=0.5)
     p.add_argument("--eps-schedule", type=_parse_floats,
                    default="1e-2,3e-3,1e-3,3e-4")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default="threshold")
 
     p = command("generic-check", cmd_generic_check, "nondegeneracy grid scan")
@@ -281,7 +292,7 @@ def _build_parser() -> tuple:
     p.add_argument("--tol", type=_finite_float, default=None)
     p.add_argument("--z", type=_parse_floats,
                    help="fix the z point instead of scanning a z grid")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default="generic_check")
 
     p = command("reproduce-figures", cmd_reproduce_figures,

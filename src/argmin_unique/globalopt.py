@@ -8,10 +8,13 @@ analogue of argmin uniqueness.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Optional, Protocol, Sequence
 
 import numpy as np
+import scipy
 from scipy.optimize import minimize
 
 from .domain import (Box, Domain, Objective, as_vector, eval_block,
@@ -171,24 +174,83 @@ def seed_key(*parts) -> tuple:
     return tuple(int(p) & 0xFFFFFFFFFFFFFFFF for p in parts)
 
 
+_SOBOL_BITS = 30  # scipy's default: 2^30 points per engine
+
+
+@functools.lru_cache(maxsize=None)
+def _direction_bits(dim: int) -> np.ndarray:
+    """(dim, 30, 30) bits of the Sobol direction numbers, high bit first.
+
+    Row j of dimension d holds direction number j of d.  The primitive
+    polynomials and initial numbers are Joe and Kuo's, read from the file
+    that scipy installs, without importing ``scipy.stats``.
+    """
+    path = Path(scipy.__file__).parent / "stats" / "_sobol_direction_numbers.npz"
+    with np.load(path) as data:
+        poly, vinit = data["poly"][:dim], data["vinit"][:dim]
+    v = np.ones((dim, _SOBOL_BITS), dtype=np.int64)
+    for d in range(1, dim):
+        p = int(poly[d])
+        m = p.bit_length() - 1
+        v[d, :m] = vinit[d, :m]
+        for j in range(m, _SOBOL_BITS):
+            new = int(v[d, j - m])
+            for k in range(m):
+                if p >> (m - 1 - k) & 1:
+                    new ^= int(v[d, j - k - 1]) << (k + 1)
+            v[d, j] = new
+    high_first = np.arange(_SOBOL_BITS - 1, -1, -1)
+    v <<= high_first
+    bits = ((v[:, :, None] >> high_first) & 1).astype(float)
+    bits.setflags(write=False)  # one cached array shared by every call
+    return bits
+
+
+def _sobol(dim: int, n: int, key: tuple) -> np.ndarray:
+    """The first n points (n, dim) of a scrambled Sobol sequence.
+
+    Bit for bit the points of ``scipy.stats.qmc.Sobol(dim, scramble=True,
+    seed=default_rng(SeedSequence(key)))``: like scipy's engine, it draws
+    from the first child of that seed sequence, first a random digital
+    shift, then one random lower-triangular matrix per dimension (unit
+    diagonal) that scrambles the direction numbers over GF(2) (a linear
+    matrix scramble).  Point m is the shift XOR the scrambled direction
+    numbers of the set bits of m's Gray code, times 2^-30.
+    """
+    bits = _SOBOL_BITS
+    rng = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(key, spawn_key=(0,))))
+    shift = (rng.integers(2, size=(dim, bits), dtype=np.uint32)
+             @ 2 ** np.arange(bits, dtype=np.uint32))
+    ltm = np.tril(rng.integers(2, size=(dim, bits, bits), dtype=np.uint32))
+    ltm[:, np.arange(bits), np.arange(bits)] = 1
+    # every sum below is at most 30, so float64 products are exact
+    scrambled = (_direction_bits(dim) @ ltm.transpose(0, 2, 1)) % 2
+    directions = (scrambled @ 2.0 ** np.arange(bits - 1, -1, -1)).astype(np.uint32)
+    # Gray-code order by reflection: points 2^k..2^(k+1)-1 are points
+    # 2^k-1..0 XOR direction number k
+    points = np.zeros((1, dim), dtype=np.uint32)
+    for column in directions.T:
+        if len(points) >= n:
+            break
+        points = np.concatenate([points, points[::-1] ^ column])
+    return (points[:n] ^ shift) * 2.0 ** -bits
+
+
 def _sobol_starts(piece: Box, n: int, key: tuple) -> list:
-    """Deterministic stratified starts inside a piece (repaired if constrained)."""
+    """n deterministic stratified starts inside a piece, Sobol points keyed by key.
+
+    A plain piece's points are clipped to it; a constrained piece repairs
+    each point, drops the infeasible ones and falls back to its repaired
+    anchor when none is left.
+    """
     if piece.intrinsic_dim == 0:
         return [piece.anchor]
-    # imported here: scipy.stats adds about 20 MB to every process that
-    # imports the package, and only the multistart needs it
-    from scipy.stats import qmc
-
-    rng = np.random.default_rng(np.random.SeedSequence(seed_key(*key)))
-    sampler = qmc.Sobol(d=piece.dim, scramble=True, seed=rng)
-    unit = sampler.random(int(2 ** np.ceil(np.log2(max(n, 1)))))[:n]
-    span = piece.upper_arr - piece.lower_arr
-    starts = []
-    for row in unit:
-        t = piece.lower_arr + row * span
-        t = piece.repair(t)
-        if t is not None:
-            starts.append(t)
+    lower, upper = piece.lower_arr, piece.upper_arr
+    block = lower + _sobol(piece.dim, n, seed_key(*key)) * (upper - lower)
+    if _is_plain(piece):
+        return list(np.clip(block, lower, upper))
+    starts = [t for t in map(piece.repair, block) if t is not None]
     if not starts:
         fallback = piece.repair(piece.anchor)
         if fallback is not None:

@@ -241,11 +241,14 @@ class TrialReport:
 def trial_settings(n_paths: int, eps_schedule: Sequence[float]) -> tuple:
     """The eps schedule as a tuple of floats, after checking the settings.
 
-    ValueError unless n_paths >= 1 and the schedule decreases strictly.
+    ValueError unless n_paths >= 1 and the schedule is positive and
+    decreases strictly.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
     eps_schedule = tuple(float(e) for e in eps_schedule)
+    if not all(e > 0 for e in eps_schedule):
+        raise ValueError("eps_schedule entries must be positive")
     if any(e2 >= e1 for e1, e2 in zip(eps_schedule, eps_schedule[1:])):
         raise ValueError("eps_schedule must be strictly decreasing")
     return eps_schedule

@@ -312,6 +312,8 @@ def test_config_hash_tracks_tolerances(tmp_path):
     ["penalized", "--penalty", "l0", "--n", "30", "--d", "21"],
     ["weakid", "--example", "1", "--z=-1.03,1.29,2.77", "--draws", "5"],
     ["weakid", "--example", "1", "--z=-1.03,1.29,2.77", "--draws", "-4"],
+    ["threshold", "--eps-schedule=-1,-2"],
+    ["threshold", "--eps-schedule", "0.1,0"],
 ], ids=["penalized-lam", "penalized-q", "threshold-grid", "mixture-components",
         "weakid-grid", "threshold-paths-0", "penalized-d-0", "weakid-pi-bound",
         "threshold-paths-negative", "threshold-eps-increasing",
@@ -327,7 +329,8 @@ def test_config_hash_tracks_tolerances(tmp_path):
         "penalized-a-inf", "penalized-gamma-inf", "generic-check-tol-inf",
         "mixture-tied-sample", "mixture-components-above-sqrt-n",
         "penalized-l0-d-above-cap", "weakid-z-with-draws",
-        "weakid-z-with-negative-draws"])
+        "weakid-z-with-negative-draws", "threshold-eps-negative",
+        "threshold-eps-zero"])
 def test_invalid_settings_exit_2_without_outputs(tmp_path, args, capsys):
     (tmp_path / "repeated.csv").write_text("z\n0.5\n1.5\n0.5\n")
     (tmp_path / "empty.csv").write_text("z\n")
@@ -337,6 +340,24 @@ def test_invalid_settings_exit_2_without_outputs(tmp_path, args, capsys):
     assert run(args + ["--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "bad.report.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["weakid", "--example", "1", "--z=-1.03,1.29,2.77"],
+    ["mixture", "--n", "20", "--starts", "3"],
+    ["penalized", "--penalty", "l0", "--n", "12", "--d", "3"],
+    ["threshold", "--paths", "5", "--grid-size", "301"],
+    ["generic-check", "--resolution", "3"],
+], ids=["weakid", "mixture", "penalized", "threshold", "generic-check"])
+def test_negative_seed_exits_2_without_outputs(tmp_path, argv, capsys):
+    out = tmp_path / "bad"
+    assert run(argv + ["--seed", "-1", "--out", str(out)]) == 2
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"command": argv[0], "seed": -1,
+                                  "out": str(out)}))
+    assert run(["--config", str(config)]) == 2
+    assert capsys.readouterr().err.count("config error") == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 def test_penalized_cap_checked_before_data(tmp_path, monkeypatch, capsys):

@@ -1,10 +1,15 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from scipy.optimize import minimize
 
+import argmin_unique
 from argmin_unique import (Domain, MixtureSample, MultistartConfig, Objective,
                            PenaltySpec, RegressionData, box,
                            cluster_minimizers, fit_mle, globalopt,
@@ -13,7 +18,7 @@ from argmin_unique import (Domain, MixtureSample, MultistartConfig, Objective,
                            sublevel_components, value_function)
 from argmin_unique.baselines import QuadraticModel
 from argmin_unique.domain import eval_block
-from argmin_unique.globalopt import decide, lbfgsb_descend
+from argmin_unique.globalopt import decide, lbfgsb_descend, seed_key
 from argmin_unique.penalized import partition_domain, regression_objective
 from argmin_unique.serialize import canonical_json
 
@@ -157,6 +162,67 @@ def test_lbfgsb_descend_flags_an_unconverged_run():
     x, value, ok = lbfgsb_descend(f, np.array([5.0, -4.0]), [(-9.0, 9.0)] * 2,
                                   MultistartConfig(max_iters=0))
     assert not ok and value == pytest.approx(float(x @ x))
+
+
+# ------------------------------------------------------------- sobol starts
+
+SOBOL_KEYS = [
+    seed_key(0, 0), seed_key(11, 3),             # multistart: (seed, piece)
+    seed_key(-1, 0), seed_key(-(1 << 40), 2),    # negative seeds wrap
+    seed_key(7, 1 << 20),                        # value_function
+    seed_key((2801 << 24) + (5 << 3) + 1, 31),   # penalized-mc: (seed, mask)
+]
+
+
+@pytest.mark.parametrize("dim", range(1, 22))
+def test_sobol_matches_scipy_bit_for_bit(dim):
+    from scipy.stats import qmc  # the package itself never imports it
+
+    for n, key in itertools.product([1, 2, 3, 5, 8, 31, 64, 200, 1024, 4096],
+                                    SOBOL_KEYS):
+        rng = np.random.default_rng(np.random.SeedSequence(key))
+        engine = qmc.Sobol(d=dim, scramble=True, seed=rng)
+        want = engine.random(2 ** int(np.ceil(np.log2(n))))[:n]
+        got = globalopt._sobol(dim, n, key)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (n, key)
+
+
+def test_plain_piece_starts_are_the_repaired_sobol_points():
+    piece = box([-10.0, 0.0, -1.0], [10.0, 3.0, 1.0])
+    span = piece.upper_arr - piece.lower_arr
+    want = [piece.repair(piece.lower_arr + row * span)
+            for row in globalopt._sobol(3, 50, seed_key(5, 2))]
+    assert np.array_equal(globalopt._sobol_starts(piece, 50, (5, 2)), want)
+
+
+NO_STATS_RUN = """
+import sys
+import numpy as np
+from argmin_unique import (MultistartConfig, PenaltySpec, RegressionData,
+                           global_minimize, multistart_minimize, value_function)
+from argmin_unique.baselines import QuadraticModel
+
+X = np.random.default_rng(2718).standard_normal((12, 3))
+y = X @ np.array([1.5, -1.0, 0.0]) + np.random.default_rng(1).standard_normal(12)
+data = RegressionData(y=tuple(y), x=tuple(map(tuple, X)))
+cfg = MultistartConfig(n_starts=16)
+for kind, params in [("bridge", {"lam": 0.5, "q": 0.5}),
+                     ("scad", {"lam": 1.0, "a": 3.7}),
+                     ("mcp", {"lam": 1.0, "gamma": 3.0})]:
+    global_minimize(PenaltySpec(kind=kind, **params), data, cfg)
+model = QuadraticModel(dim=4)
+z = np.full(4, 0.3)
+multistart_minimize(model.objective(), model.domain, z, cfg)
+value_function(model.objective(), model.domain.pieces[0], z, grid=64, cfg=cfg)
+assert "scipy.stats" not in sys.modules, "scipy.stats was imported"
+"""
+
+
+def test_detectors_run_without_importing_scipy_stats():
+    src = str(Path(argmin_unique.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", NO_STATS_RUN], env=env, check=True)
 
 
 # ----------------------------------------------------------- value function

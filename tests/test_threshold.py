@@ -171,6 +171,12 @@ def test_trial_eps_schedule_must_decrease():
         argmin_uniqueness_trial(small_spec(), 5, eps_schedule=(1e-3, 1e-3))
 
 
+@pytest.mark.parametrize("schedule", [(-1.0, -2.0), (0.1, 0.0)])
+def test_trial_eps_schedule_must_be_positive(schedule):
+    with pytest.raises(ValueError):
+        argmin_uniqueness_trial(small_spec(), 5, eps_schedule=schedule)
+
+
 def test_trial_fraction_nondecreasing_as_eps_shrinks():
     spec = small_spec(grid_size=501)
     trial = argmin_uniqueness_trial(spec, 200, seed=0)
